@@ -2,9 +2,26 @@
 
 Points are opaque strings. Their lexicographic order is the canonical
 total order used everywhere a tie must be broken (class representatives,
-serialization order, DOT labels). Topologies are stored extensionally as
-the full family of open sets; at the sizes this library targets that is
-exact and cheap. Spaces with more than ``MAX_OPENS`` opens are refused.
+serialization order, DOT labels).
+
+A finite topology is the family of up-sets of its specialization
+preorder (Alexandroff), so it is fixed by the minimal open U_x of each
+point x, the intersection of every open that contains x. The public
+``opens`` is the full family of open sets, but the checks run on bit
+masks: point i of the canonical order is bit i, a subset is an ``int``,
+and U_x is the AND of the masks that contain x.
+
+* A family F holding the empty and the full set is closed under union
+  and intersection exactly when u | U_x lies in F for every u in F and
+  every point x. Validation therefore costs O(|F| * n) mask operations
+  and set lookups, not O(|F|^2) pairs.
+* A generated topology is the union closure of its U_x, and the up-sets
+  of a poset are the union closure of its principal up-sets; both are
+  built from the empty set in O(|F| * n). A closure stops as soon as it
+  grows past ``MAX_OPENS``, and explicit families larger than that are
+  refused.
+* A poset keeps one up-set mask per element: the transitive closure is a
+  bitset Warshall pass and validation is O(n^2) mask operations.
 
 All values here are immutable after construction and all operations are
 pure, so everything is safe to use concurrently.
@@ -12,12 +29,15 @@ pure, so everything is safe to use concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_
+from typing import Iterable, Iterator, Mapping
 
-from .errors import InputError
+from .errors import InputError, InternalInvariantError
 
 MAX_OPENS = 1 << 16
+MAX_ZMOD = 1 << 40
 
 Subset = frozenset
 
@@ -31,23 +51,101 @@ def sorted_sets(sets: Iterable[frozenset]) -> list[frozenset]:
     return sorted(sets, key=_set_key)
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _names(points: tuple[str, ...], mask: int) -> list[str]:
+    """Members of ``mask`` in canonical order (``points`` is sorted)."""
+    return [points[i] for i in _bits(mask)]
+
+
+def _minimal_opens(masks: list[int], n: int) -> tuple[int, ...]:
+    """U_x for each of the ``n`` bits: the AND of the full set and every mask holding x."""
+    full = (1 << n) - 1
+    return tuple(
+        reduce(and_, [m for m in masks if m >> i & 1], full) for i in range(n)
+    )
+
+
+def _union_closure(generators: Iterable[int]) -> set[int]:
+    """Every union of ``generators``, the empty one included.
+
+    Raises :class:`InputError` as soon as the family grows past
+    ``MAX_OPENS`` members.
+    """
+    gens = set(generators)
+    family = {0}
+    queue = [0]
+    for u in queue:
+        for g in gens:
+            w = u | g
+            if w not in family:
+                family.add(w)
+                queue.append(w)
+                if len(family) > MAX_OPENS:
+                    raise InputError(f"generated topology exceeds {MAX_OPENS} opens")
+    return family
+
+
+def _closure_witness(
+    points: tuple[str, ...], family: set[int], minimal: tuple[int, ...]
+) -> str:
+    """Name the first pair of opens, in canonical order, whose union or
+    intersection leaves ``family``.
+
+    The pairs (u, U_x) are scanned with u in canonical order and x in
+    point order; some u | U_x must leave the family. When U_x is an open
+    the failing pair is u, U_x. Otherwise the opens holding x are
+    intersected one by one in canonical order: the running intersection
+    starts in the family and ends at U_x outside it, so one step leaves.
+    """
+    ordered = sorted(family, key=lambda m: _names(points, m))
+    for u in ordered:
+        for x, ux in enumerate(minimal):
+            if u | ux in family:
+                continue
+            if ux in family:
+                return (
+                    f"opens not closed under union: "
+                    f"{_names(points, u)} | {_names(points, ux)}"
+                )
+            acc, *rest = [w for w in ordered if w >> x & 1]
+            for w in rest:
+                if acc & w not in family:
+                    return (
+                        f"opens not closed under intersection: "
+                        f"{_names(points, acc)} & {_names(points, w)}"
+                    )
+                acc &= w
+    raise InternalInvariantError("closure witness requested for a closed family")
+
+
 @dataclass(frozen=True)
 class FiniteSpace:
     """A finite set of points together with a topology on them.
 
     ``opens`` must contain the empty set and the full point set and be
     closed under pairwise union and intersection. Construction checks
-    all of this and raises :class:`InputError` otherwise.
+    all of this through the minimal opens and raises :class:`InputError`
+    naming a failing pair otherwise.
     """
 
     points: tuple[str, ...]
     opens: frozenset[frozenset[str]]
+    # mask of U_x for x = points[i]
+    _minimal: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = frozenset(self.points)
         if len(pts) != len(self.points):
             raise InputError("duplicate point identifiers")
-        object.__setattr__(self, "points", tuple(sorted(self.points)))
+        points = tuple(sorted(self.points))
+        object.__setattr__(self, "points", points)
         if len(self.opens) > MAX_OPENS:
             raise InputError(
                 f"topology has {len(self.opens)} opens; limit is {MAX_OPENS}"
@@ -57,17 +155,13 @@ class FiniteSpace:
                 raise InputError(f"open set {sorted(u)} contains unknown points")
         if frozenset() not in self.opens or pts not in self.opens:
             raise InputError("topology must contain the empty set and the full set")
-        opens = self.opens
-        for u in opens:
-            for w in opens:
-                if u | w not in opens:
-                    raise InputError(
-                        f"opens not closed under union: {sorted(u)} | {sorted(w)}"
-                    )
-                if u & w not in opens:
-                    raise InputError(
-                        f"opens not closed under intersection: {sorted(u)} & {sorted(w)}"
-                    )
+        bit = {p: 1 << i for i, p in enumerate(points)}
+        masks = [sum(map(bit.__getitem__, u)) for u in self.opens]
+        family = set(masks)
+        minimal = _minimal_opens(masks, len(points))
+        if not all(family.issuperset(map(ux.__or__, masks)) for ux in set(minimal)):
+            raise InputError(_closure_witness(points, family, minimal))
+        object.__setattr__(self, "_minimal", minimal)
 
     @property
     def full(self) -> frozenset[str]:
@@ -90,39 +184,24 @@ class FiniteSpace:
 def generate_topology(points: Iterable[str], basis: Iterable[Iterable[str]]) -> FiniteSpace:
     """Smallest topology on ``points`` containing every basis member.
 
-    The basis is treated as a subbasis: the family basis + {empty, full}
-    is closed under pairwise union and intersection until a fixed point
-    is reached.
+    The basis is treated as a subbasis. The minimal open of a point is
+    the intersection of the members holding it (the full set if none
+    does), and the opens are all unions of minimal opens. More than
+    ``MAX_OPENS`` opens are refused while the closure grows.
     """
     points = tuple(sorted(set(points)))
     full = frozenset(points)
-    family: set[frozenset[str]] = {frozenset(), full}
-    queue: list[frozenset[str]] = []
+    bit = {p: 1 << i for i, p in enumerate(points)}
+    masks = []
     for b in basis:
         b = frozenset(b)
         if not b <= full:
             raise InputError(f"basis member {sorted(b)} contains unknown points")
-        if b not in family:
-            family.add(b)
-            queue.append(b)
-    while queue:
-        s = queue.pop()
-        fresh = []
-        for u in family:
-            a, b = s | u, s & u
-            if a not in family:
-                fresh.append(a)
-            if b not in family:
-                fresh.append(b)
-        for f in fresh:
-            if f not in family:
-                family.add(f)
-                queue.append(f)
-                if len(family) > MAX_OPENS:
-                    raise InputError(
-                        f"generated topology exceeds {MAX_OPENS} opens"
-                    )
-    return FiniteSpace(points, frozenset(family))
+        masks.append(sum(map(bit.__getitem__, b)))
+    family = _union_closure(_minimal_opens(masks, len(points)))
+    return FiniteSpace(
+        points, frozenset(frozenset(_names(points, m)) for m in family)
+    )
 
 
 def discrete_space(points: Iterable[str]) -> FiniteSpace:
@@ -146,10 +225,13 @@ def spec_zmod(n: int) -> FiniteSpace:
 
     The points are the distinct prime divisors of ``n`` (named ``p<prime>``)
     with the discrete topology; ``n = 1`` gives the empty space. The ring
-    index 0 is rejected.
+    index 0 is rejected, and so is any ``n`` above ``MAX_ZMOD`` = 2**40,
+    before trial division starts.
     """
     if not isinstance(n, int) or n < 1:
         raise InputError("spec_zmod requires a positive integer")
+    if n > MAX_ZMOD:
+        raise InputError(f"spec_zmod index {n} exceeds the bound 2**40")
     primes = []
     m, d = n, 2
     while d * d <= m:
@@ -168,51 +250,69 @@ class Poset:
     """A finite partial order, stored as the full reflexive relation.
 
     Construction verifies reflexivity, antisymmetry, and transitivity
-    and raises :class:`InputError` naming the first failure.
+    and raises :class:`InputError` naming the first failure in canonical
+    order.
     """
 
     elements: tuple[str, ...]
     leq: frozenset[tuple[str, str]]
+    # mask of the principal up-set of elements[i]
+    _up: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         els = frozenset(self.elements)
         if len(els) != len(self.elements):
             raise InputError("duplicate poset elements")
-        object.__setattr__(self, "elements", tuple(sorted(self.elements)))
+        elements = tuple(sorted(self.elements))
+        object.__setattr__(self, "elements", elements)
+        index = {e: i for i, e in enumerate(elements)}
+        up = [0] * len(elements)
         for a, b in self.leq:
             if a not in els or b not in els:
                 raise InputError(f"relation pair ({a}, {b}) has unknown elements")
-        for a in els:
-            if (a, a) not in self.leq:
+            up[index[a]] |= 1 << index[b]
+        for i, a in enumerate(elements):
+            if not up[i] >> i & 1:
                 raise InputError(f"relation not reflexive at {a}")
-        for a, b in self.leq:
-            if a != b and (b, a) in self.leq:
-                raise InputError(f"relation not antisymmetric on ({a}, {b})")
-        for a, b in self.leq:
-            for c, d in self.leq:
-                if b == c and (a, d) not in self.leq:
+        for i, a in enumerate(elements):
+            for j in _bits(up[i] & ~(1 << i)):
+                if up[j] >> i & 1:
                     raise InputError(
-                        f"relation not transitive: ({a},{b}) and ({c},{d})"
+                        f"relation not antisymmetric on ({a}, {elements[j]})"
                     )
+        for i, a in enumerate(elements):
+            for j in _bits(up[i]):
+                missing = up[j] & ~up[i]
+                if missing:
+                    b, d = elements[j], elements[next(_bits(missing))]
+                    raise InputError(
+                        f"relation not transitive: ({a},{b}) and ({b},{d})"
+                    )
+        object.__setattr__(self, "_up", tuple(up))
 
     @classmethod
     def generate(cls, elements: Iterable[str], pairs: Iterable[tuple[str, str]]) -> "Poset":
         """Reflexive-transitive closure of generating pairs, then validation.
 
-        A cycle among distinct elements surfaces as an antisymmetry error.
+        The closure is a bitset Warshall pass over per-element up-set
+        masks. A cycle among distinct elements surfaces as an
+        antisymmetry error.
         """
         elements = tuple(sorted(set(elements)))
-        rel = {(a, a) for a in elements}
-        rel.update((a, b) for a, b in pairs)
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(rel):
-                for c, d in list(rel):
-                    if b == c and (a, d) not in rel:
-                        rel.add((a, d))
-                        changed = True
-        return cls(elements, frozenset(rel))
+        index = {e: i for i, e in enumerate(elements)}
+        up = [1 << i for i in range(len(elements))]
+        for a, b in pairs:
+            if a not in index or b not in index:
+                raise InputError(f"relation pair ({a}, {b}) has unknown elements")
+            up[index[a]] |= 1 << index[b]
+        for k in range(len(up)):
+            for i in range(len(up)):
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
+        rel = frozenset(
+            (a, elements[j]) for i, a in enumerate(elements) for j in _bits(up[i])
+        )
+        return cls(elements, rel)
 
     def le(self, a: str, b: str) -> bool:
         return (a, b) in self.leq
@@ -224,26 +324,11 @@ class Poset:
         """Every up-closed subset, in canonical order.
 
         Computed as all unions of principal up-sets; the count can be
-        exponential in an antichain, so callers bound the element count.
+        exponential in an antichain, so more than ``MAX_OPENS`` are
+        refused and callers bound the element count.
         """
-        family: set[frozenset[str]] = {frozenset()}
-        queue = []
-        for x in self.elements:
-            u = self.up_set(x)
-            if u not in family:
-                family.add(u)
-                queue.append(u)
-        while queue:
-            s = queue.pop()
-            fresh = []
-            for u in family:
-                a = s | u
-                if a not in family:
-                    fresh.append(a)
-            for f in fresh:
-                family.add(f)
-                queue.append(f)
-        return sorted_sets(family)
+        family = _union_closure(self._up)
+        return sorted_sets(frozenset(_names(self.elements, m)) for m in family)
 
     def covers(self) -> list[tuple[str, str]]:
         """Hasse pairs (a, b): a < b with nothing strictly between."""
@@ -278,15 +363,14 @@ def alexandroff_from_poset(poset: Poset) -> FiniteSpace:
 def specialization_preorder(space: FiniteSpace) -> frozenset[tuple[str, str]]:
     """Pairs (x, y) such that every open containing x also contains y.
 
-    For a finite space the opens are exactly the up-closed sets of this
-    preorder, so it inverts :func:`alexandroff_from_poset`.
+    Those y are the members of the minimal open U_x. For a finite space
+    the opens are exactly the up-closed sets of this preorder, so it
+    inverts :func:`alexandroff_from_poset`.
     """
-    pairs = set()
-    for x in space.points:
-        for y in space.points:
-            if all(y in u for u in space.opens if x in u):
-                pairs.add((x, y))
-    return frozenset(pairs)
+    pts = space.points
+    return frozenset(
+        (x, pts[j]) for i, x in enumerate(pts) for j in _bits(space._minimal[i])
+    )
 
 
 def strict_partial_order(elements: Iterable[str], preorder: Iterable[tuple[str, str]]) -> Poset:

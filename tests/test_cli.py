@@ -1,15 +1,35 @@
 """End-to-end command line runs against temporary documents."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import stratcalc
 from stratcalc.cli import main
 
 
 def write(path, doc):
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def run_python(args, cwd, **env):
+    """Run a fresh interpreter that imports this stratcalc checkout."""
+    src = str(Path(stratcalc.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
 
 
 @pytest.fixture
@@ -100,6 +120,31 @@ class TestLimitCommand:
         space = write(tmp_path / "empty.json", {"spec_zmod": 1})
         assert main(["limit", "--space", space]) == 2
         assert "nonempty" in capsys.readouterr().err
+
+    def test_huge_spec_zmod_refused_promptly(self, tmp_path, capsys):
+        # trial division of 2**61 - 1 would run for more than 20 s
+        space = write(tmp_path / "huge.json", {"spec_zmod": 2**61 - 1})
+        start = time.monotonic()
+        assert main(["limit", "--space", space]) == 2
+        assert time.monotonic() - start < 5
+        assert "exceeds" in capsys.readouterr().err
+
+    def test_closure_witness_independent_of_hash_seed(self, tmp_path):
+        # fifteen pairs of singletons fail union; the canonical first is named
+        points = list("abcdefgh")
+        opens = [[]] + [[p] for p in points[:6]] + [points]
+        write(tmp_path / "bad.json", {"points": points, "opens": opens})
+        runs = [
+            run_python(
+                ["-m", "stratcalc.cli", "limit", "--space", "bad.json"],
+                tmp_path,
+                PYTHONHASHSEED=seed,
+            )
+            for seed in ("1", "2")
+        ]
+        assert [r.returncode for r in runs] == [2, 2]
+        assert runs[0].stderr == runs[1].stderr
+        assert runs[0].stderr == "error: opens not closed under union: ['a'] | ['b']\n"
 
 
 class TestCheckMapCommand:
@@ -368,6 +413,19 @@ class TestSelftestCommand:
     def test_injected_fault_fails(self, capsys):
         assert main(["selftest", "--seed", "0", "--inject-fault"]) == 3
         assert "FAIL" in capsys.readouterr().out
+
+    def test_sabotaged_oracle_fails_under_optimize(self, tmp_path):
+        # python -O strips assert statements; the suites must still fail
+        code = (
+            "import sys\n"
+            "from stratcalc import cli, selftest\n"
+            "selftest.ce_oracle = lambda g, omega: None\n"
+            "sys.exit(cli.main(['selftest', '--seed', '0']))\n"
+        )
+        proc = run_python(["-O", "-c", code], tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert "forms: FAIL" in proc.stdout
+        assert proc.stdout.endswith("result: FAIL\n")
 
 
 def test_unreadable_document_exits_2(tmp_path, capsys):

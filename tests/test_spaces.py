@@ -1,5 +1,7 @@
 """Finite spaces, posets, and continuity."""
 
+import ast
+import re
 from itertools import chain, combinations
 from random import Random
 
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratcalc import (
+    FiniteSpace,
     InputError,
     PointMap,
     Poset,
@@ -47,6 +50,130 @@ def subbasis_normal_form(points, basis):
     opens.add(frozenset())
     opens.add(full)
     return opens
+
+
+def pairwise_closure(points, basis):
+    """Reference: close basis + {empty, full} under pairwise union and
+    intersection until nothing new appears."""
+    family = {frozenset(), frozenset(points)} | {frozenset(b) for b in basis}
+    while True:
+        fresh = {u | w for u in family for w in family}
+        fresh |= {u & w for u in family for w in family}
+        if fresh <= family:
+            return family
+        family |= fresh
+
+
+def pairwise_closed(family):
+    return all(u | w in family and u & w in family for u in family for w in family)
+
+
+def brute_force_order_closure(elements, pairs):
+    """Reference: reflexive-transitive closure by repeated composition."""
+    rel = {(a, a) for a in elements} | set(pairs)
+    while True:
+        fresh = {(a, d) for a, b in rel for c, d in rel if b == c}
+        if fresh <= rel:
+            return rel
+        rel |= fresh
+
+
+def is_partial_order(elements, rel):
+    return (
+        all((a, a) in rel for a in elements)
+        and all(a == b or (b, a) not in rel for a, b in rel)
+        and all((a, d) in rel for a, b in rel for c, d in rel if b == c)
+    )
+
+
+def subsets_of(points):
+    return st.frozensets(st.sampled_from(points))
+
+
+@st.composite
+def families(draw):
+    """Families holding the empty and the full set on at most 6 points:
+    topologies with one set toggled (near misses) or arbitrary sets."""
+    points = "abcdef"[: draw(st.integers(min_value=1, max_value=6))]
+    if draw(st.booleans()):
+        basis = draw(st.lists(subsets_of(points), max_size=4))
+        family = pairwise_closure(points, basis)
+        if draw(st.booleans()):
+            family ^= {draw(subsets_of(points))}
+    else:
+        family = set(draw(st.lists(subsets_of(points), max_size=12)))
+    family |= {frozenset(), frozenset(points)}
+    return tuple(points), frozenset(family)
+
+
+@st.composite
+def relations(draw):
+    """Elements and generating pairs on at most 6 elements, cycles allowed."""
+    elements = "abcdef"[: draw(st.integers(min_value=1, max_value=6))]
+    pair = st.tuples(st.sampled_from(elements), st.sampled_from(elements))
+    return tuple(elements), draw(st.lists(pair, max_size=8))
+
+
+WITNESS = re.compile(r"opens not closed under (union|intersection): (\[.*?\]) [|&] (\[.*?\])$")
+
+
+class TestFiniteSpaceValidation:
+    @given(families())
+    @settings(max_examples=400, deadline=None)
+    def test_accepts_exactly_the_pairwise_closed_families(self, case):
+        points, family = case
+        if pairwise_closed(family):
+            assert FiniteSpace(points, family).opens == family
+            return
+        with pytest.raises(InputError) as info:
+            FiniteSpace(points, family)
+        kind, u, w = WITNESS.match(str(info.value)).groups()
+        u, w = frozenset(ast.literal_eval(u)), frozenset(ast.literal_eval(w))
+        assert u in family and w in family
+        assert (u | w if kind == "union" else u & w) not in family
+
+    def test_union_witness_is_canonical(self):
+        opens = frozenset(map(frozenset, ["", "a", "b", "c", "d", "e", "abcdef"]))
+        with pytest.raises(InputError) as info:
+            FiniteSpace(tuple("abcdef"), opens)
+        assert str(info.value) == "opens not closed under union: ['a'] | ['b']"
+
+    def test_intersection_witness_when_minimal_open_is_missing(self):
+        # U_b = {a, b} & {b, c} = {b} is not in the family
+        opens = frozenset(map(frozenset, ["", "ab", "bc", "abc"]))
+        with pytest.raises(InputError) as info:
+            FiniteSpace(tuple("abc"), opens)
+        assert str(info.value) == (
+            "opens not closed under intersection: ['a', 'b'] & ['b', 'c']"
+        )
+
+    @given(families())
+    @settings(max_examples=100, deadline=None)
+    def test_specialization_preorder_matches_definition(self, case):
+        points, family = case
+        space = generate_topology(points, family)
+        assert specialization_preorder(space) == {
+            (x, y)
+            for x in points
+            for y in points
+            if all(y in u for u in space.opens if x in u)
+        }
+
+
+class TestBounds:
+    def test_generation_refused_while_the_closure_grows(self):
+        # 2**17 opens; FiniteSpace would say "limit is", the closure "exceeds"
+        points = [f"s{i:02d}" for i in range(17)]
+        with pytest.raises(InputError, match="exceeds"):
+            generate_topology(points, [{p} for p in points])
+
+    def test_sixteen_point_discrete_space(self):
+        space = discrete_space([f"p{i:02d}" for i in range(16)])
+        assert len(space.opens) == 65536
+
+    def test_seventeen_point_discrete_space_refused(self):
+        with pytest.raises(InputError):
+            discrete_space([f"p{i:02d}" for i in range(17)])
 
 
 class TestGenerateTopology:
@@ -108,6 +235,12 @@ class TestGenerateTopology:
         again = generate_topology(space.points, space.opens)
         assert again.opens == space.opens
 
+    @given(families())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pairwise_closure(self, case):
+        points, basis = case
+        assert generate_topology(points, basis).opens == pairwise_closure(points, basis)
+
 
 class TestSpecZmod:
     def test_twelve(self):
@@ -130,6 +263,11 @@ class TestSpecZmod:
     def test_zero_rejected(self):
         with pytest.raises(InputError):
             spec_zmod(0)
+
+    def test_bound_checked_before_factoring(self):
+        assert spec_zmod(2**40).points == ("p2",)
+        with pytest.raises(InputError, match="exceeds"):
+            spec_zmod(2**61 - 1)
 
 
 class TestAlexandroff:
@@ -171,6 +309,43 @@ class TestAlexandroff:
         rel = {("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c")}
         with pytest.raises(InputError):
             Poset(("a", "b", "c"), frozenset(rel))
+
+    @given(relations())
+    @settings(max_examples=200, deadline=None)
+    def test_up_sets_match_brute_force(self, case):
+        elements, pairs = case
+        forward = [(a, b) for a, b in pairs if a < b]
+        poset = Poset.generate(elements, forward)
+        up_sets = poset.up_sets()
+        assert set(up_sets) == self.brute_force_up_sets(poset)
+        assert up_sets == sorted(up_sets, key=sorted)
+
+    @given(relations())
+    @settings(max_examples=300, deadline=None)
+    def test_generate_matches_brute_force(self, case):
+        elements, pairs = case
+        closure = brute_force_order_closure(elements, pairs)
+        if is_partial_order(elements, closure):
+            assert Poset.generate(elements, pairs).leq == closure
+        else:
+            with pytest.raises(InputError):
+                Poset.generate(elements, pairs)
+
+    @given(relations(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_validation_matches_brute_force(self, case, data):
+        elements, pairs = case
+        rel = set(pairs)
+        if data.draw(st.booleans()):
+            # a closed order with one pair toggled: mostly near misses
+            forward = [(a, b) for a, b in pairs if a < b]
+            rel = brute_force_order_closure(elements, forward)
+            rel ^= {data.draw(st.tuples(st.sampled_from(elements), st.sampled_from(elements)))}
+        if is_partial_order(elements, rel):
+            assert Poset(elements, frozenset(rel)).leq == rel
+        else:
+            with pytest.raises(InputError):
+                Poset(elements, frozenset(rel))
 
     def test_specialization_recovers_order(self):
         poset = Poset.generate("abcd", [("a", "b"), ("b", "c")])
