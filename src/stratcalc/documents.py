@@ -22,7 +22,7 @@ from .derive import (
     constant_action,
 )
 from .errors import InputError
-from .exprfn import ExprFunction
+from .exprfn import ExprFunction, decimal_exponent
 from .forms import ComplexReport, LieAlgebraPresentation
 from .refine import ClassMap
 from .spaces import (
@@ -35,6 +35,10 @@ from .spaces import (
 )
 from .squares import InducedSquare, SquareCertificate
 from .stratify import Cover, QuotientPoset, Stratification
+
+# Longest text of a Lie bracket coefficient, and largest |e| of its
+# decimal exponent; both are checked before Fraction() reads it.
+COEFFICIENT_LIMIT = 64
 
 
 def fmt_float(x: float) -> float:
@@ -57,7 +61,7 @@ def read_json(path: str) -> Any:
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"document {path!r} not found") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an int past the digit limit
         raise InputError(f"document {path!r} is not valid JSON: {exc}") from None
 
 
@@ -352,6 +356,16 @@ def dump_second_derivative(report: SecondDerivativeReport) -> dict:
     }
 
 
+def _coefficient(value, where: str) -> Fraction:
+    text = str(value)
+    if len(text) > COEFFICIENT_LIMIT or decimal_exponent(text) > COEFFICIENT_LIMIT:
+        raise InputError(
+            f"{where}: coefficient {text[:24]!r} is longer than {COEFFICIENT_LIMIT} "
+            f"characters or has a decimal exponent beyond {COEFFICIENT_LIMIT}"
+        )
+    return Fraction(text)
+
+
 def load_lie(doc: dict, where: str = "lie document") -> LieAlgebraPresentation:
     dim = _require(doc, "dim", int, where)
     basis = tuple(doc["basis"]) if "basis" in doc else None
@@ -360,7 +374,7 @@ def load_lie(doc: dict, where: str = "lie document") -> LieAlgebraPresentation:
         if not (isinstance(item, list) and len(item) == 3):
             raise InputError(f"{where}: brackets must be [i, j, coefficients]")
         i, j, coeffs = item
-        brackets.append((int(i), int(j), [Fraction(str(c)) for c in coeffs]))
+        brackets.append((int(i), int(j), [_coefficient(c, where) for c in coeffs]))
     return LieAlgebraPresentation.from_brackets(dim, brackets, basis)
 
 

@@ -150,9 +150,9 @@ class FiniteSpace:
             raise InputError(
                 f"topology has {len(self.opens)} opens; limit is {MAX_OPENS}"
             )
-        for u in self.opens:
-            if not u <= pts:
-                raise InputError(f"open set {sorted(u)} contains unknown points")
+        if not all(u <= pts for u in self.opens):
+            u = min((u for u in self.opens if not u <= pts), key=_set_key)
+            raise InputError(f"open set {sorted(u)} contains unknown points")
         if frozenset() not in self.opens or pts not in self.opens:
             raise InputError("topology must contain the empty set and the full set")
         bit = {p: 1 << i for i, p in enumerate(points)}

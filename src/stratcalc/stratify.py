@@ -304,13 +304,13 @@ def identity_stratification(space: FiniteSpace) -> Stratification:
     is T0, so non-T0 spaces are rejected.
     """
     pre = specialization_preorder(space)
-    for x, y in pre:
-        if x != y and (y, x) in pre:
-            raise StructuralError(
-                f"identity stratification needs a T0 space; {x} and {y} are "
-                f"topologically indistinguishable",
-                witness=(x, y),
-            )
+    if any(x != y and (y, x) in pre for x, y in pre):
+        x, y = min((x, y) for x, y in pre if x != y and (y, x) in pre)
+        raise StructuralError(
+            f"identity stratification needs a T0 space; {x} and {y} are "
+            f"topologically indistinguishable",
+            witness=(x, y),
+        )
     poset = strict_partial_order(space.points, pre)
     classes = tuple(
         StratumClass(p, frozenset({p}), None) for p in space.points

@@ -356,6 +356,37 @@ class TestDeriveCommand:
         assert json.loads(out.read_text())["tol"] == 1e-6
 
 
+    def _parametric_query(self, tmp_path, component):
+        return write(
+            tmp_path / "q.json",
+            {
+                "spec": {
+                    "kind": "parametric",
+                    "k": [component],
+                    "rho": [{"until": None, "table": {"z1": "z1"}}],
+                    "space_x": {"points": ["z1"], "opens": [[], ["z1"]]},
+                },
+                "point": {"x": [3.0], "v": [1.0], "cone": "star"},
+            },
+        )
+
+    def test_expression_is_never_executed(self, tmp_path, capsys):
+        marker = tmp_path / "marker"
+        query = self._parametric_query(
+            tmp_path, f"__import__('os').system('touch {marker}') or x1"
+        )
+        assert main(["derive", "--query", query]) == 2
+        assert not marker.exists()
+        assert "disallowed" in capsys.readouterr().err
+
+    def test_power_tower_refused_promptly(self, tmp_path, capsys):
+        query = self._parametric_query(tmp_path, "9**9**9*x1")
+        start = time.perf_counter()
+        assert main(["derive", "--query", query]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "exponent" in capsys.readouterr().err
+
+
 class TestCohomologyCommand:
     def test_sl2(self, tmp_path):
         lie = write(
@@ -393,6 +424,21 @@ class TestCohomologyCommand:
         assert "Jacobi" in err and "(0, 1, 2)" in err
 
 
+    @pytest.mark.parametrize("coefficient", ["1e999999", "1e-65", "1" * 200000])
+    def test_oversized_coefficient_exits_2_promptly(self, tmp_path, capsys, coefficient):
+        lie = write(tmp_path / "big.json",
+                    {"dim": 2, "brackets": [[0, 1, [coefficient, "0"]]]})
+        start = time.perf_counter()
+        assert main(["cohomology", "--lie", lie]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "coefficient" in capsys.readouterr().err
+
+    def test_coefficient_at_the_limits(self, tmp_path):
+        lie = write(tmp_path / "edge.json",
+                    {"dim": 2, "brackets": [[0, 1, ["1e-64", "0" * 64]]]})
+        assert main(["cohomology", "--lie", lie, "--out", str(tmp_path / "c.json")]) == 0
+
+
 class TestSelftestCommand:
     def test_fixed_seed_is_byte_identical(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -428,6 +474,20 @@ class TestSelftestCommand:
         assert proc.stdout.endswith("result: FAIL\n")
 
 
+def test_import_does_not_load_sympy(tmp_path):
+    code = "import sys, stratcalc.cli; print('sympy' in sys.modules)"
+    proc = run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_unreadable_document_exits_2(tmp_path, capsys):
     assert main(["limit", "--space", str(tmp_path / "missing.json")]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+def test_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    lie = tmp_path / "big.json"
+    lie.write_text('{"dim": 2, "brackets": [[0, 1, [' + "1" * 5000 + ", 0]]]}")
+    assert main(["cohomology", "--lie", str(lie)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err

@@ -1,10 +1,20 @@
-"""Expression functions: parsing, evaluation, symbolic Jacobian."""
+"""Expression functions: gate, parsing, evaluation, symbolic Jacobian."""
 
 import math
+import sys
+import time
+from pathlib import Path
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratcalc import ExprFunction, InputError, NumericError
+from stratcalc.exprfn import _gate, _jacobian
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402  (the benchmark's expression templates)
 
 
 class TestParsing:
@@ -77,3 +87,86 @@ class TestEvaluationErrors:
         f = ExprFunction(2, ("x1", "x2"))
         with pytest.raises(InputError):
             f.evaluate((1.0,))
+
+
+class TestLazyJacobian:
+    def test_built_on_first_use(self):
+        before = _jacobian.cache_info().currsize
+        f = ExprFunction(2, ("x1**3 + x2", "x1*x2**2"))
+        assert _jacobian.cache_info().currsize == before
+        assert f.jacobian((2.0, 5.0)) == ((12.0, 1.0), (25.0, 20.0))
+        assert _jacobian.cache_info().currsize == before + 1
+
+
+GATE_ACCEPTS = [
+    "x1**2",
+    " x1 + 1\n",
+    "x1^2 + 1",
+    "x1**(1/2)",
+    "x1**-2",
+    "-x1**(-3/2)",
+    "3/4*x1",
+    "0.5*x1",
+    "1e-6*x1",
+    "2**(1/2)*x1",
+    "9**64*x1",
+    "(x1**64)**64",
+    "0xe99*x1",
+    "sin(x1)*cos(x1) - exp(-x1)",
+    "((-3/2) * (x1)**2)",
+]
+
+GATE_REJECTS = [
+    "9**9**9*x1",
+    "((9**64)**64)**64",
+    "((x1*2**64)**64)**64",
+    "1e999999*x1",
+    "1e-999999*x1",
+    "1" * 5000 + "*x1",
+    "1" * 25 + "*x1",
+    "x1**65",
+    "x1**(1/65)",
+    "x1**(1/0)",
+    "x1**0.5",
+    "x1**x1",
+    "x1 if 1 else 0",
+    "sqrt(x1)",
+    "E**x1",
+    "sin(x1, x1)",
+    "sin(x=x1)",
+    "x1.real",
+    "x1[0]",
+    "True*x1",
+    "1j*x1",
+    "lambda: x1",
+    "__import__('os').system('true') or x1",
+    "x2",
+    "x01",
+    "-" * 100 + "x1",
+    "+".join(["x1"] * 200),
+]
+
+
+@pytest.mark.parametrize("source", GATE_ACCEPTS)
+def test_gate_accepts(source):
+    ExprFunction(1, (source,))
+
+
+@pytest.mark.parametrize("source", GATE_REJECTS)
+def test_gate_rejects_promptly(source):
+    start = time.perf_counter()
+    with pytest.raises(InputError):
+        ExprFunction(1, (source,))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_component_must_be_a_string():
+    with pytest.raises(InputError):
+        ExprFunction(1, (2,))
+
+
+@given(st.integers(0, 2**32), st.integers(0, 2**32), st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_benchmark_templates_pass_the_gate(shape, constants, arity):
+    term = gen._term(Random(shape), Random(constants), arity)
+    _gate(gen.render(term), arity)

@@ -132,6 +132,12 @@ class TestFiniteSpaceValidation:
         assert u in family and w in family
         assert (u | w if kind == "union" else u & w) not in family
 
+    def test_unknown_points_witness_is_canonical(self):
+        opens = frozenset(map(frozenset, ["", "ab", "ay", "aw", "ax", "az"]))
+        with pytest.raises(InputError) as info:
+            FiniteSpace(tuple("ab"), opens)
+        assert str(info.value) == "open set ['a', 'w'] contains unknown points"
+
     def test_union_witness_is_canonical(self):
         opens = frozenset(map(frozenset, ["", "a", "b", "c", "d", "e", "abcdef"]))
         with pytest.raises(InputError) as info:

@@ -235,6 +235,12 @@ class TestIdentityStratification:
         with pytest.raises(StructuralError):
             identity_stratification(indiscrete_space("ab"))
 
+    def test_witness_is_the_first_pair_in_canonical_order(self):
+        with pytest.raises(StructuralError) as info:
+            identity_stratification(indiscrete_space("fedcba"))
+        assert info.value.witness == ("a", "b")
+        assert "a and b are" in str(info.value)
+
     def test_discrete_space(self):
         strat = identity_stratification(discrete_space("abc"))
         assert strat.cover is None
