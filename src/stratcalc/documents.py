@@ -39,6 +39,11 @@ from .stratify import Cover, QuotientPoset, Stratification
 # Longest text of a Lie bracket coefficient, and largest |e| of its
 # decimal exponent; both are checked before Fraction() reads it.
 COEFFICIENT_LIMIT = 64
+# Largest Lie algebra dimension; checked before the n**3 structure
+# constants are allocated. The worst measured document at this bound, a
+# densely conjugated sl2^3 plus a line, takes about 4.5 s in `cohomology`
+# on a shared 2-core host, and its dimension-11 analogue about 32 s.
+MAX_LIE_DIM = 10
 
 
 def fmt_float(x: float) -> float:
@@ -368,6 +373,8 @@ def _coefficient(value, where: str) -> Fraction:
 
 def load_lie(doc: dict, where: str = "lie document") -> LieAlgebraPresentation:
     dim = _require(doc, "dim", int, where)
+    if dim > MAX_LIE_DIM:
+        raise InputError(f"{where}: dimension {dim} exceeds the limit of {MAX_LIE_DIM}")
     basis = tuple(doc["basis"]) if "basis" in doc else None
     brackets = []
     for item in doc.get("brackets", []):

@@ -5,25 +5,34 @@ The vector-field space is given by structure constants; antisymmetry
 and the Jacobi identity are validated exactly. Forms of degree k are
 alternating maps with one rational coefficient per strictly increasing
 k-tuple of basis indices. With constant coefficients every derivation
-term of the classical formulas vanishes, so the differential of a
-1-form is minus its value on brackets, and higher degrees are pinned
-down inductively by the Cartan identity
+term of the classical formulas vanishes, so the Lie derivative along a
+basis field and the contraction with it are sparse signed maps on the
+increasing tuples, and the differential is pinned down degree by degree
+by the Cartan identity
 
     interior(X, d w) = lie(X, w) - d(interior(X, w))
 
-required for every basis field X. An independent alternating-sum
-differential, sharing only the bracket with the inductive route, guards
-the construction, and the complex report checks d after d vanishing
-exactly before computing ranks by rational elimination.
+required for every basis field X. The build goes up one degree at a
+time: the column of D_k at a basis form is read off the identity for
+its first row index, from the Lie map and the already built columns of
+D_{k-1}, and every other contraction, the top degree included, is
+checked against its right side. The structure constants are cleared to
+integers once, so the build, the exact d after d check (a sparse
+product over nonzeros) and the ranks (fraction-free Bareiss
+elimination) run on ints. An independent alternating-sum differential,
+sharing only the bracket with the build, guards it in the tests and the
+selftest.
 
 No floating point enters this module.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, InternalInvariantError
@@ -68,9 +77,6 @@ class LieAlgebraPresentation:
                 tuple(tuple(_fr(v) for v in cij) for cij in ci) for ci in c
             ),
         )
-
-    def bracket_basis(self, i: int, j: int) -> tuple[Fraction, ...]:
-        return self.c[i][j]
 
     @classmethod
     def from_brackets(
@@ -226,21 +232,6 @@ class KForm:
             return Fraction(0)
         return sign * self.coeffs[key]
 
-    def on_vectors(self, vectors: Sequence[Sequence]) -> Fraction:
-        """Multilinear alternating evaluation on coefficient vectors."""
-        if len(vectors) != self.degree:
-            raise InputError(
-                f"degree-{self.degree} form applied to {len(vectors)} fields"
-            )
-        vecs = [tuple(_fr(t) for t in v) for v in vectors]
-        total = Fraction(0)
-        for idx in combinations(range(self.dim), self.degree):
-            coeff = self.coeffs[idx]
-            if coeff == 0:
-                continue
-            total += coeff * _det([[v[i] for i in idx] for v in vecs])
-        return total
-
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.coeffs.values())
 
@@ -268,35 +259,41 @@ class KForm:
         )
 
 
-def _det(rows) -> Fraction:
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [[row[t] for t in range(n) if t != j] for row in rows[1:]]
-        total += (-1) ** j * rows[0][j] * _det(minor)
-    return total
+def _lie_table(c) -> list:
+    """Lie derivatives of the dual basis 1-forms: entry [j][m] lists the
+    pairs (i, -c[j][i][m]) with a nonzero constant, since
+    lie(e_j, e^m) = -sum_i c[j][i][m] e^i on constant coefficients."""
+    n = len(c)
+    return [
+        [[(i, -c[j][i][m]) for i in range(n) if c[j][i][m]] for m in range(n)]
+        for j in range(n)
+    ]
 
 
-def d_one_form(g: LieAlgebraPresentation, omega: KForm) -> KForm:
-    """Differential of a 1-form: minus its value on brackets, since the
-    derivation terms vanish on constant coefficients."""
-    if omega.degree != 1:
-        raise InputError(f"expected a 1-form, got degree {omega.degree}")
-    if omega.dim != g.dim:
-        raise InputError("form does not match the algebra dimension")
-    if g.dim < 2:
-        return KForm.zero(g.dim, g.dim)  # no degree-2 slots; truncation
-    coeffs = {}
-    for i, j in combinations(range(g.dim), 2):
-        coeffs[(i, j)] = -sum(
-            (g.c[i][j][l] * omega.coeffs[(l,)] for l in range(g.dim)),
-            Fraction(0),
-        )
-    return KForm(g.dim, 2, coeffs)
+def _lie_column(table, j: int, c: tuple[int, ...]) -> dict:
+    """lie(e_j, e^c) as {increasing tuple: coefficient}.
+
+    The Lie derivative is a derivation, so it replaces one factor e^m of
+    e^c at a time by lie(e_j, e^m); moving the new index from slot s to
+    its sorted place p among the other factors costs (-1)^(s+p), and a
+    repeated index gives nothing.
+    """
+    out = {}
+    for s, m in enumerate(c):
+        rest = c[:s] + c[s + 1:]
+        for i, v in table[j][m]:
+            if i in rest:
+                continue
+            p = bisect_left(rest, i)
+            key = rest[:p] + (i,) + rest[p:]
+            out[key] = out.get(key, 0) + (-v if (s + p) % 2 else v)
+    return out
+
+
+def _contractions(c: tuple[int, ...]) -> list:
+    """Triples (j, sign, rest) with interior(e_j, e^c) = sign * e^rest for
+    each j in c; contraction with any other basis field vanishes."""
+    return [(j, -1 if p % 2 else 1, c[:p] + c[p + 1:]) for p, j in enumerate(c)]
 
 
 def lie_derivative(g: LieAlgebraPresentation, field: Sequence, omega: KForm) -> KForm:
@@ -306,23 +303,17 @@ def lie_derivative(g: LieAlgebraPresentation, field: Sequence, omega: KForm) -> 
     field = tuple(_fr(t) for t in field)
     if len(field) != g.dim or omega.dim != g.dim:
         raise InputError("field or form does not match the algebra dimension")
-    k = omega.degree
+    table = _lie_table(g.c)
     coeffs = {}
-    for idx in combinations(range(g.dim), k):
-        total = Fraction(0)
-        for slot in range(k):
-            br = bracket(g, field, _unit(g.dim, idx[slot]))
-            for l in range(g.dim):
-                if br[l] == 0:
-                    continue
-                seq = idx[:slot] + (l,) + idx[slot + 1:]
-                total -= br[l] * omega.on_basis(seq)
-        coeffs[idx] = total
-    return KForm(g.dim, k, coeffs)
-
-
-def _unit(dim: int, i: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1 if j == i else 0) for j in range(dim))
+    for j, x in enumerate(field):
+        if x == 0:
+            continue
+        for c, w in omega.coeffs.items():
+            if w == 0:
+                continue
+            for key, v in _lie_column(table, j, c).items():
+                coeffs[key] = coeffs.get(key, 0) + x * w * v
+    return KForm(g.dim, omega.degree, coeffs)
 
 
 def interior_product(field: Sequence, omega: KForm) -> KForm:
@@ -333,13 +324,11 @@ def interior_product(field: Sequence, omega: KForm) -> KForm:
     if len(field) != omega.dim:
         raise InputError("field does not match the form dimension")
     coeffs = {}
-    for idx in combinations(range(omega.dim), omega.degree - 1):
-        total = Fraction(0)
-        for m in range(omega.dim):
-            if field[m] == 0:
-                continue
-            total += field[m] * omega.on_basis((m,) + idx)
-        coeffs[idx] = total
+    for c, w in omega.coeffs.items():
+        if w == 0:
+            continue
+        for j, sign, rest in _contractions(c):
+            coeffs[rest] = coeffs.get(rest, 0) + sign * field[j] * w
     return KForm(omega.dim, omega.degree - 1, coeffs)
 
 
@@ -364,69 +353,96 @@ def wedge(left: KForm, right: KForm) -> KForm:
     return KForm(dim, degree, coeffs)
 
 
-def exterior_derivative(g: LieAlgebraPresentation, omega: KForm) -> KForm:
-    """Differential in every degree, defined inductively.
+def _cartan_differentials(g: LieAlgebraPresentation, top: int) -> tuple[int, list[dict]]:
+    """Columns of D_0, ..., D_top, scaled by a common denominator.
 
-    Degree 0 dies, degree 1 is the bracket formula, and for k >= 2 each
-    coefficient of the result on an increasing tuple (t0 < rest) is read
-    off from the Cartan identity contracted with basis field t0, whose
-    right side only involves degree k-1 differentials. The remaining
-    contractions are then verified; a mismatch would contradict the
+    Returns that denominator, the least common one of the structure
+    constants, and per degree k a dict from each increasing k-tuple c to
+    the sparse integer column {(k+1)-tuple: coefficient}. Every D_k is
+    linear in the constants, so clearing them once lets the build run on
+    ints.
+
+    Column c of D_k is read off the Cartan identity
+    interior(e_j, D_k e^c) = lie(e_j, e^c) - D_{k-1}(interior(e_j, e^c)):
+    its entry at (t0, rest) is the right side for field t0 at rest. The
+    contraction of the column with every basis field is then checked
+    against its right side; in the top degree the column is empty and
+    every right side must vanish. A mismatch would contradict the
     construction and is raised as an internal error.
     """
+    n = g.dim
+    den = lcm(*(v.denominator for ci in g.c for cij in ci for v in cij))
+    table = _lie_table(
+        [[[v.numerator * (den // v.denominator) for v in cij] for cij in ci] for ci in g.c]
+    )
+    lower = {}
+    differentials = []
+    for k in range(top + 1):
+        columns = {}
+        for c in combinations(range(n), k):
+            inner = {j: (sign, rest) for j, sign, rest in _contractions(c)}
+            sides = []
+            for j in range(n):
+                side = _lie_column(table, j, c)
+                if j in inner:
+                    sign, rest = inner[j]
+                    for r, v in lower[rest].items():
+                        side[r] = side.get(r, 0) - sign * v
+                sides.append({r: v for r, v in side.items() if v})
+            column = {
+                (t0,) + rest: v
+                for t0, side in enumerate(sides)
+                for rest, v in side.items()
+                if not rest or t0 < rest[0]
+            }
+            got = [{} for _ in range(n)]
+            for r, v in column.items():
+                for j, sign, rest in _contractions(r):
+                    got[j][rest] = sign * v
+            for j in range(n):
+                if got[j] != sides[j]:
+                    raise InternalInvariantError(
+                        f"Cartan build of degree {k} inconsistent at column "
+                        f"{c} when contracted with basis field {j}"
+                    )
+            columns[c] = column
+        differentials.append(columns)
+        lower = columns
+    return den, differentials
+
+
+def exterior_derivative(g: LieAlgebraPresentation, omega: KForm) -> KForm:
+    """The differential D_k of the Cartan build applied to the
+    coefficients of a k-form. Degree 0 dies, and a top form maps to the
+    zero top form since there are no degree n+1 slots."""
     if omega.dim != g.dim:
         raise InputError("form does not match the algebra dimension")
     k = omega.degree
-    if k == 0:
-        return KForm.zero(g.dim, 1)
+    den, differentials = _cartan_differentials(g, k)
     if k == g.dim:
-        result = KForm.zero(g.dim, g.dim)  # no degree n+1 slots
-        _check_cartan_consistency(g, omega, result, top=True)
-        return result
-    if k == 1:
-        return d_one_form(g, omega)
+        return KForm.zero(g.dim, g.dim)
     coeffs = {}
-    rhs = {}
-    for j in range(g.dim):
-        ej = _unit(g.dim, j)
-        rhs[j] = lie_derivative(g, ej, omega).plus(
-            exterior_derivative(g, interior_product(ej, omega)).scaled(-1)
-        )
-    for idx in combinations(range(g.dim), k + 1):
-        t0, rest = idx[0], idx[1:]
-        coeffs[idx] = rhs[t0].on_basis(rest)
-    result = KForm(g.dim, k + 1, coeffs)
-    for j in range(g.dim):
-        got = interior_product(_unit(g.dim, j), result)
-        if not got == rhs[j]:
-            raise InternalInvariantError(
-                f"inductive differential inconsistent when contracted with "
-                f"basis field {j}"
-            )
-    return result
+    for c, column in differentials[k].items():
+        w = omega.coeffs[c]
+        if w == 0:
+            continue
+        for r, v in column.items():
+            coeffs[r] = coeffs.get(r, 0) + w * v
+    return KForm(g.dim, k + 1, {r: v / den for r, v in coeffs.items()})
 
 
-def _check_cartan_consistency(g, omega, d_omega, top=False):
-    for j in range(g.dim):
-        ej = _unit(g.dim, j)
-        want = lie_derivative(g, ej, omega).plus(
-            exterior_derivative(g, interior_product(ej, omega)).scaled(-1)
-        )
-        got = (
-            KForm.zero(g.dim, omega.degree)
-            if top
-            else interior_product(ej, d_omega)
-        )
-        if not got == want:
-            raise InternalInvariantError(
-                f"top-degree differential inconsistent at basis field {j}"
-            )
+def d_one_form(g: LieAlgebraPresentation, omega: KForm) -> KForm:
+    """Differential of a 1-form: minus its value on brackets, since the
+    derivation terms vanish on constant coefficients."""
+    if omega.degree != 1:
+        raise InputError(f"expected a 1-form, got degree {omega.degree}")
+    return exterior_derivative(g, omega)
 
 
 def ce_oracle(g: LieAlgebraPresentation, omega: KForm) -> KForm:
-    """Alternating-sum differential used only to guard the inductive one.
+    """Alternating-sum differential used only to guard the Cartan build.
 
-    Shares nothing with the inductive route except the bracket: the
+    Shares nothing with the build except the bracket: the
     coefficient on a tuple is the signed sum over index pairs of the form
     evaluated with that pair's bracket in front of the remaining indices.
     """
@@ -453,31 +469,41 @@ def ce_oracle(g: LieAlgebraPresentation, omega: KForm) -> KForm:
 
 
 def rational_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """Rank by fraction-exact Gaussian elimination."""
-    rows = [list(r) for r in matrix]
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
+    """Rank of a rational matrix. Each row is scaled by the least common
+    multiple of its denominators, which leaves the rank unchanged, and
+    the integer rows are eliminated fraction-free."""
+    rows = []
+    for row in matrix:
+        m = lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (m // v.denominator) for v in row])
+    return _int_rank(rows)
+
+
+def _int_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    After each pivot every remaining entry is a minor of the input, so
+    dividing by the previous pivot is exact. Rows are independent of one
+    another between pivots, so zero rows are dropped as they appear, and
+    a column without a pivot is dropped too.
+    """
+    rows = [list(r) for r in rows if any(r)]
+    rank, prev = 0, 1
+    while rows:
+        pivot = next((i for i, r in enumerate(rows) if r[0]), None)
         if pivot is None:
+            rows = [r[1:] for r in rows]
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [v / pv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        top = rows.pop(pivot)
+        p, tail = top[0], top[1:]
+        reduced = []
+        for r in rows:
+            a = r[0]
+            r = [(p * x - a * y) // prev for x, y in zip(r[1:], tail)]
+            if any(r):
+                reduced.append(r)
+        rows, prev = reduced, p
         rank += 1
-        if rank == len(rows):
-            break
     return rank
 
 
@@ -496,43 +522,33 @@ class ComplexReport:
         return sum((-1) ** k * b for k, b in enumerate(self.betti))
 
 
-def _degree_basis(dim: int, k: int):
-    return list(combinations(range(dim), k))
-
-
-def differential_matrix(g: LieAlgebraPresentation, k: int):
-    """Matrix of the degree-k differential in the increasing-tuple bases;
-    rows are (k+1)-tuples, columns are k-tuples."""
-    rows = _degree_basis(g.dim, k + 1) if k < g.dim else []
-    cols = _degree_basis(g.dim, k)
-    matrix = []
-    images = [exterior_derivative(g, KForm.basis_dual(g.dim, c)) for c in cols]
-    for r in rows:
-        matrix.append(tuple(img.coeffs[r] for img in images))
-    return tuple(matrix), rows, cols
-
-
 def de_rham_complex(g: LieAlgebraPresentation) -> ComplexReport:
     """Build every differential, verify d after d is exactly zero, and
-    compute Betti numbers by exact elimination."""
+    compute Betti numbers from exact ranks."""
     validate_lie(g)
     n = g.dim
+    den, differentials = _cartan_differentials(g, n)
+    _check_d_squared(differentials)
+    bases = [list(combinations(range(n), k)) for k in range(n + 2)]
+    fractions = {0: Fraction(0)}
+
+    def entry(v: int) -> Fraction:
+        if v not in fractions:
+            fractions[v] = Fraction(v, den)
+        return fractions[v]
+
     matrices = []
     ranks = []
-    for k in range(n + 1):
-        mat, rows, cols = differential_matrix(g, k)
-        matrices.append(mat)
-        ranks.append(rational_rank(mat))
-    for k in range(n):
-        if not _product_is_zero(matrices[k + 1], matrices[k]):
-            raise InternalInvariantError(
-                f"composite of differentials in degrees {k} and {k + 1} "
-                f"is nonzero"
-            )
+    for k, columns in enumerate(differentials):
+        cols = [columns[c] for c in bases[k]]
+        rows = bases[k + 1]
+        matrices.append(
+            tuple(tuple(entry(col.get(r, 0)) for col in cols) for r in rows)
+        )
+        ranks.append(_int_rank([[col.get(r, 0) for r in rows] for col in cols if col]))
     betti = []
     for k in range(n + 1):
-        dim_k = len(_degree_basis(n, k))
-        kernel = dim_k - ranks[k]
+        kernel = len(bases[k]) - ranks[k]
         image_prev = ranks[k - 1] if k >= 1 else 0
         betti.append(kernel - image_prev)
     return ComplexReport(
@@ -540,22 +556,21 @@ def de_rham_complex(g: LieAlgebraPresentation) -> ComplexReport:
     )
 
 
-def _product_is_zero(later, earlier) -> bool:
-    if not later or not earlier:
-        return True
-    rows = len(later)
-    mid = len(earlier)
-    cols = len(earlier[0]) if earlier else 0
-    if mid == 0:
-        return True
-    for r in range(rows):
-        for c in range(cols):
-            total = sum(
-                (later[r][m] * earlier[m][c] for m in range(mid)), Fraction(0)
-            )
-            if total != 0:
-                return False
-    return True
+def _check_d_squared(differentials: list[dict]) -> None:
+    """Exact D_{k+1} D_k = 0 as a sparse product: each column of D_k is
+    pushed through the columns of D_{k+1} at its nonzero rows."""
+    for k in range(len(differentials) - 1):
+        later = differentials[k + 1]
+        for column in differentials[k].values():
+            image = {}
+            for r, v in column.items():
+                for s, w in later[r].items():
+                    image[s] = image.get(s, 0) + v * w
+            if any(image.values()):
+                raise InternalInvariantError(
+                    f"composite of differentials in degrees {k} and {k + 1} "
+                    f"is nonzero"
+                )
 
 
 def abelian(dim: int) -> LieAlgebraPresentation:

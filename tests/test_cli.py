@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
 
 import stratcalc
 from stratcalc.cli import main
+from stratcalc.documents import MAX_LIE_DIM
 
 
 def write(path, doc):
@@ -432,6 +434,21 @@ class TestCohomologyCommand:
         assert main(["cohomology", "--lie", lie]) == 2
         assert time.perf_counter() - start < 1.0
         assert "coefficient" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("offset, code", [(1, 2), (0, 0)])
+    def test_dimension_limit(self, tmp_path, capsys, offset, code):
+        dim = MAX_LIE_DIM + offset
+        lie = write(tmp_path / "ab.json", {"dim": dim, "brackets": []})
+        out = tmp_path / "c.json"
+        start = time.perf_counter()
+        assert main(["cohomology", "--lie", lie, "--out", str(out)]) == code
+        if code:
+            assert time.perf_counter() - start < 1.0
+            err = capsys.readouterr().err
+            assert f"dimension {dim} exceeds the limit of {MAX_LIE_DIM}" in err
+            assert len(err.strip().splitlines()) == 1
+        else:
+            assert json.loads(out.read_text())["betti"] == [comb(dim, k) for k in range(dim + 1)]
 
     def test_coefficient_at_the_limits(self, tmp_path):
         lie = write(tmp_path / "edge.json",

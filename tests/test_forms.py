@@ -1,14 +1,18 @@
 """Presented Lie algebras, alternating forms, the differential, cohomology."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from random import Random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratcalc import (
     InputError,
+    InternalInvariantError,
     KForm,
     LieAlgebraPresentation,
     abelian,
@@ -24,8 +28,9 @@ from stratcalc import (
     validate_lie,
     wedge,
 )
+from stratcalc import forms
 from stratcalc.forms import rational_rank
-from stratcalc.selftest import rand_form, rand_lie, suite_forms
+from stratcalc.selftest import _conjugate_constants, rand_form, rand_lie, suite_forms
 
 
 def unit(dim, i):
@@ -302,6 +307,130 @@ class TestRationalRank:
     def test_degenerate_shapes(self):
         assert rational_rank([]) == 0
         assert rational_rank([[]]) == 0
+
+    def test_rank_deficient_products(self):
+        # A product of m x r and r x n factors has rank at most r, so the
+        # elimination must skip pivotless columns and drop zero rows.
+        rng = Random("rank-deficient")
+        for _ in range(15):
+            m, r, n = rng.randint(3, 9), rng.randint(1, 4), rng.randint(3, 9)
+            left = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(r)]
+                    for _ in range(m)]
+            right = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(r)]
+            mat = [
+                [sum((a * right[t][j] for t, a in enumerate(row)), Fraction(0))
+                 for j in range(n)]
+                for row in left
+            ]
+            assert rational_rank(mat) == sympy_rank(mat)
+
+
+# ---------------------------------------------------------------- Cartan build
+
+
+def _direct_sum(*algebras):
+    n = sum(g.dim for g in algebras)
+    brackets, offset = [], 0
+    for g in algebras:
+        for i in range(g.dim):
+            for j in range(i + 1, g.dim):
+                coeffs = [Fraction(0)] * n
+                coeffs[offset:offset + g.dim] = g.c[i][j]
+                brackets.append((offset + i, offset + j, coeffs))
+        offset += g.dim
+    return LieAlgebraPresentation.from_brackets(n, brackets)
+
+
+def _sheared(g, shears):
+    """g in the basis changed by row_a += lam * row_b for each shear."""
+    n = g.dim
+    p = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    pinv = [row[:] for row in p]
+    for a, b, lam in shears:
+        a, b = a % n, b % n
+        if a == b:
+            continue
+        for j in range(n):
+            p[a][j] += lam * p[b][j]
+        for i in range(n):
+            pinv[i][b] -= lam * pinv[i][a]
+    return _conjugate_constants(g, p, pinv)
+
+
+_shears = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(-2, 2)), max_size=6
+)
+
+
+@st.composite
+def _algebras(draw):
+    """Almost-abelian algebras of dimension 2-6 with a random diagonal
+    action of the first field, and sl2 + heisenberg; both conjugated."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 6))
+        brackets = []
+        for j in range(1, n):
+            coeffs = [Fraction(0)] * n
+            coeffs[j] = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+            brackets.append((0, j, coeffs))
+        g = LieAlgebraPresentation.from_brackets(n, brackets)
+    else:
+        g = _direct_sum(sl2(), heisenberg())
+    return _sheared(g, draw(_shears))
+
+
+class TestCartanBuild:
+    @given(_algebras(), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_columns_and_forms_match_oracle(self, g, seed):
+        report = de_rham_complex(g)
+        n = g.dim
+        for k, mat in enumerate(report.matrices):
+            rows = list(combinations(range(n), k + 1))
+            for col, c in enumerate(combinations(range(n), k)):
+                image = ce_oracle(g, KForm.basis_dual(n, c))
+                if k == n:
+                    assert mat == () and image.is_zero()
+                else:
+                    assert [r[col] for r in mat] == [image.coeffs[row] for row in rows]
+        rng = Random(seed)
+        for degree in range(n + 1):
+            omega = rand_form(rng, n, degree)
+            assert exterior_derivative(g, omega) == ce_oracle(g, omega)
+
+    @pytest.mark.parametrize("field, column, key", [
+        (0, (0,), (0,)),  # contraction with e_0 can never reach a tuple holding 0
+        (0, (1,), (1,)),  # lands in D_1 at (0, 1); contraction with e_1 sees it
+        (0, (0, 1, 2), (0, 1, 2)),  # the top-degree right side must vanish
+    ])
+    def test_corrupted_lie_entry_is_caught(self, monkeypatch, field, column, key):
+        real = forms._lie_column
+
+        def corrupted(table, j, c):
+            out = real(table, j, c)
+            if (j, c) == (field, column):
+                out[key] = out.get(key, 0) + 1
+            return out
+
+        monkeypatch.setattr(forms, "_lie_column", corrupted)
+        with pytest.raises(InternalInvariantError) as err:
+            de_rham_complex(sl2())
+        assert "Cartan" in str(err.value)
+        with pytest.raises(InternalInvariantError):
+            exterior_derivative(sl2(), KForm.basis_dual(3, column))
+
+    def test_corrupted_differential_trips_d_squared(self, monkeypatch):
+        real = forms._cartan_differentials
+
+        def corrupted(g, top):
+            den, differentials = real(g, top)
+            differentials[0][()] = {(2,): 1}  # D_0 sends 1 to e^3, and D_1 e^3 = -e^12
+            return den, differentials
+
+        monkeypatch.setattr(forms, "_cartan_differentials", corrupted)
+        with pytest.raises(InternalInvariantError) as err:
+            de_rham_complex(heisenberg())
+        assert "composite of differentials in degrees 0 and 1" in str(err.value)
 
 
 def test_random_suite():
