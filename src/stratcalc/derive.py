@@ -227,6 +227,41 @@ def conjugate(spec: ConicalMapSpec, a: float, v, x, c: ConeCoordinate) -> Conjug
     return ConjugateValue(a3, v2, x2, c2, piece)
 
 
+def _conjugate_steps(spec: ConicalMapSpec, v, x, fx, c: ConeCoordinate):
+    """``conjugate`` at fixed (v, x, c) as a function of the step ``a``.
+
+    ``v`` and ``x`` are float tuples and ``fx`` is k(x), computed once by
+    the caller instead of once per step. The step returns the vector
+    part, cone slot and piece of :class:`ConjugateValue` from the same
+    float operations and checks, in the same order, as ``gamma``,
+    ``f_delta`` and ``gamma_inv``.
+    """
+    k, rho = spec.k, spec.rho
+    xmax = max((abs(xi) for xi in x), default=0.0)
+    vmax = max((abs(vi) for vi in v), default=0.0)
+
+    def step(a: float):
+        w = tuple(a * vi + xi for vi, xi in zip(v, x))
+        scale = max(1.0, xmax / a, vmax)
+        if any(abs((wi - xi) / a - vi) > 1e-12 * scale for wi, xi, vi in zip(w, x, v)):
+            raise InternalInvariantError("rescaling round trip exceeded tolerance")
+        t1 = 0.0 if c.is_apex else a * c.t  # a subnormal radius underflows to 0
+        if t1 == 0:
+            piece, image = None, CONE_APEX
+        else:
+            piece = rho.piece_index(t1)
+            image = cone_coord(t1 / a, rho.pieces[piece].table[c.z])
+        if piece is None and not image.is_apex:
+            raise StructuralError(
+                "map does not send the cone point to the cone point",
+                witness=ConicalPoint(x, CONE_APEX),
+            )
+        kw = w if k is None else k.evaluate(w)
+        return tuple((ui - fi) / a for ui, fi in zip(kw, fx)), image, piece
+
+    return step
+
+
 @dataclass(frozen=True)
 class TangentValue:
     """Derivative data at a point: vector part, image point, cone slot.
@@ -342,6 +377,7 @@ def derive(
         spec.space_x.require_points([c.z], "cone coordinate")
 
     fx = spec.apply_vec(x)
+    conjugate_at = _conjugate_steps(spec, v, x, fx, c)
     trace: list[TraceEntry] = []
     stabilization: int | None = None
     converged = False
@@ -349,18 +385,15 @@ def derive(
     prev_w: tuple[float, ...] | None = None
     for step in range(max_steps):
         a = 2.0 ** (-step)
-        cj = conjugate(spec, a, v, x, c)
-        entry = TraceEntry(
-            a, cj.w, cj.cone, cj.piece, spec.target_class(cj.cone.z)
-        )
-        trace.append(entry)
-        if any(not math.isfinite(t) for t in cj.w):
+        w, cone, piece = conjugate_at(a)
+        trace.append(TraceEntry(a, w, cone, piece, spec.target_class(cone.z)))
+        if any(not math.isfinite(t) for t in w):
             failure = f"non-finite vector part at step {step}"
             break
-        if max(abs(t) for t in cj.w) > DIVERGENCE_LIMIT:
+        if max(abs(t) for t in w) > DIVERGENCE_LIMIT:
             failure = f"vector part diverges at step {step}"
             break
-        settled = cj.piece is None or cj.piece == 0
+        settled = piece is None or piece == 0
         if settled and stabilization is None:
             stabilization = step
         if not settled and stabilization is not None:
@@ -369,11 +402,11 @@ def derive(
             step >= 2
             and stabilization is not None
             and prev_w is not None
-            and _sup_diff(cj.w, prev_w) < tol
+            and _sup_diff(w, prev_w) < tol
         ):
             converged = True
             break
-        prev_w = cj.w
+        prev_w = w
 
     if not converged and failure is None:
         if stabilization is None:

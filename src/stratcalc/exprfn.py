@@ -12,11 +12,14 @@ Every component passes three stages:
   against the size bounds below, before any other code sees it, so text
   from a document is never evaluated and no literal or power can blow
   up;
-- sympy parses the unchanged text, :func:`_validate_tree` checks the
-  parsed tree a second time, and each component is compiled to a plain
-  math-module lambda once and cached. sympy is imported on the first
-  parse, so programs that never build an :class:`ExprFunction` never
-  load it;
+- sympy parses the unchanged text as ``sympify(text, rational=True)``
+  does, over a namespace built once (:func:`_parse`),
+  :func:`_validate_tree` checks the parsed tree a second time, and the
+  components are compiled together to one plain math-module lambda
+  returning their tuple, once per function, and cached. Per-component
+  lambdas are built only when an evaluation fails, to name the failing
+  component. sympy is imported on the first parse, so programs that
+  never build an :class:`ExprFunction` never load it;
 - the symbolic Jacobian is built on the first :meth:`ExprFunction.jacobian`
   call and cached. It exists to serve as an analytic cross-check for the
   numeric limit route and is never consulted by it.
@@ -25,8 +28,10 @@ Every component passes three stages:
 from __future__ import annotations
 
 import ast
+import builtins
 import math
 import re
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -187,8 +192,52 @@ def _validate_tree(expr, allowed_symbols, source: str):
 
 
 @lru_cache(maxsize=None)
+def _parse_namespace() -> dict:
+    """The namespace ``parse_expr`` builds when it is given none: all of
+    ``from sympy import *``, the builtin functions, and Max and Min as
+    max and min. Built on the first parse instead of on every parse."""
+    import sympy
+
+    namespace: dict = {}
+    exec("from sympy import *", namespace)
+    namespace.update(
+        (name, obj)
+        for name, obj in vars(builtins).items()
+        if isinstance(obj, types.BuiltinFunctionType)
+    )
+    namespace.update(max=sympy.Max, min=sympy.Min)
+    return namespace
+
+
+def _parse(source: str, symbols):
+    """``sympify(source, rational=True)`` over :func:`_parse_namespace`:
+    the same transformations, newlines dropped, and tokenizer and syntax
+    errors raised as ``SympifyError``."""
+    import sympy
+    from sympy.parsing.sympy_parser import (
+        TokenError,
+        convert_xor,
+        parse_expr,
+        rationalize,
+        standard_transformations,
+    )
+
+    text = source.replace("\n", "")
+    try:
+        return parse_expr(
+            text,
+            local_dict={s.name: s for s in symbols},
+            global_dict=_parse_namespace(),
+            transformations=standard_transformations + (rationalize, convert_xor),
+        )
+    except (TokenError, SyntaxError) as exc:
+        raise sympy.SympifyError(f"could not parse {text!r}", exc) from None
+
+
+@lru_cache(maxsize=None)
 def _compile(components: tuple[str, ...], arity: int):
-    """Gated, parsed and validated expressions with their value lambdas."""
+    """Gated, parsed and validated expressions with one lambda that
+    returns the tuple of their values."""
     for source in components:
         _gate(source, arity)
     import sympy
@@ -198,13 +247,23 @@ def _compile(components: tuple[str, ...], arity: int):
     exprs = []
     for source in components:
         try:
-            expr = sympy.sympify(source, locals={s.name: s for s in xs}, rational=True)
+            expr = _parse(source, xs)
         except (sympy.SympifyError, SyntaxError, TypeError) as exc:
             raise InputError(f"cannot parse expression {source!r}: {exc}") from None
         _validate_tree(expr, allowed, source)
         exprs.append(expr)
-    evals = tuple(sympy.lambdify(xs, e, modules="math") for e in exprs)
-    return tuple(exprs), evals
+    return tuple(exprs), sympy.lambdify(xs, tuple(exprs), modules="math")
+
+
+@lru_cache(maxsize=None)
+def _component_evals(components: tuple[str, ...], arity: int):
+    """One lambda per component, built the first time an evaluation has
+    to name the component that failed."""
+    import sympy
+
+    exprs, _ = _compile(components, arity)
+    xs = sympy.symbols(f"x1:{arity + 1}")
+    return tuple(sympy.lambdify(xs, e, modules="math") for e in exprs)
 
 
 @lru_cache(maxsize=None)
@@ -256,10 +315,19 @@ class ExprFunction:
         xs = tuple(float(t) for t in xs)
         if len(xs) != self.arity:
             raise InputError(f"expected {self.arity} arguments, got {len(xs)}")
-        _, evals = _compile(self.components, self.arity)
+        _, values_at = _compile(self.components, self.arity)
+        try:
+            values = values_at(*xs)
+            if not any(isinstance(t, complex) or not math.isfinite(t) for t in values):
+                return tuple(float(t) for t in values)
+        except (ValueError, ZeroDivisionError, OverflowError, TypeError):
+            pass
+        # Some component failed: evaluate one at a time to name the first.
         return tuple(
             self._call(fn, xs, f"component {i} = {src!r}")
-            for i, (fn, src) in enumerate(zip(evals, self.components))
+            for i, (fn, src) in enumerate(
+                zip(_component_evals(self.components, self.arity), self.components)
+            )
         )
 
     def jacobian(self, xs) -> tuple[tuple[float, ...], ...]:

@@ -132,27 +132,35 @@ def validate_lie(g: LieAlgebraPresentation) -> LieCertificate:
                         f"vs c[{j}][{i}][{k}] = {g.c[j][i][k]}"
                     )
                 anti += 1
-    jacobi = 0
+    # The Jacobi sum at (i, j, k, l) is t(i, j, k, l) + t(j, k, i, l) +
+    # t(k, i, j, l) with t(i, j, k, l) = sum over m of c[i][j][m] c[m][k][l];
+    # t is summed over nonzero constants only, and a sum can be nonzero
+    # only at a cyclic rotation of a key of t.
+    nonzero = [[[(l, x) for l, x in enumerate(cij) if x] for cij in ci] for ci in g.c]
+    t: dict[tuple[int, int, int, int], Fraction] = {}
     for i in range(n):
         for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    total = sum(
-                        (
-                            g.c[i][j][m] * g.c[m][k][l]
-                            + g.c[j][k][m] * g.c[m][i][l]
-                            + g.c[k][i][m] * g.c[m][j][l]
-                            for m in range(n)
-                        ),
-                        Fraction(0),
-                    )
-                    if total != 0:
-                        raise InputError(
-                            f"Jacobi identity fails on basis triple "
-                            f"({i}, {j}, {k}) at component {l}: sum {total}"
-                        )
-                jacobi += 1
-    return LieCertificate(anti, jacobi)
+            for m, x in nonzero[i][j]:
+                for k in range(n):
+                    for l, y in nonzero[m][k]:
+                        t[i, j, k, l] = t.get((i, j, k, l), 0) + x * y
+
+    def jacobi_sum(i, j, k, l):
+        return t.get((i, j, k, l), 0) + t.get((j, k, i, l), 0) + t.get((k, i, j, l), 0)
+
+    failing = [
+        key
+        for i, j, k, l in t
+        for key in ((i, j, k, l), (k, i, j, l), (j, k, i, l))
+        if jacobi_sum(*key) != 0
+    ]
+    if failing:
+        i, j, k, l = min(failing)
+        raise InputError(
+            f"Jacobi identity fails on basis triple "
+            f"({i}, {j}, {k}) at component {l}: sum {jacobi_sum(i, j, k, l)}"
+        )
+    return LieCertificate(anti, n**3)
 
 
 def bracket(g: LieAlgebraPresentation, xv: Sequence, yv: Sequence) -> tuple[Fraction, ...]:

@@ -167,9 +167,6 @@ class FiniteSpace:
     def full(self) -> frozenset[str]:
         return frozenset(self.points)
 
-    def is_open(self, s: Iterable[str]) -> bool:
-        return frozenset(s) in self.opens
-
     def opens_sorted(self) -> list[frozenset[str]]:
         return sorted_sets(self.opens)
 

@@ -1,8 +1,14 @@
 """Numeric derivatives of conical maps and their analytic cross-checks."""
 
+import hashlib
+import json
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratcalc import (
     CONE_APEX,
@@ -26,8 +32,13 @@ from stratcalc import (
     parametric_spec,
     wrap_discrete,
 )
+from stratcalc import documents
+from stratcalc.derive import _conjugate_steps
 from stratcalc.selftest import suite_derive
 from stratcalc.spaces import PointMap
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402  (the benchmark's calculus round)
 
 
 def zspace():
@@ -88,6 +99,133 @@ class TestConjugate:
         with pytest.raises(NumericError):
             conjugate(spec, 1.0, (1.0,), (0.0,), CONE_APEX)
 
+
+# Components per arity; the fractional power fails (complex value) on a
+# negative base, so the error path is covered too.
+_COMPONENTS = (
+    "x{i}**2",
+    "sin(x{i})*x{j} + 1/3",
+    "exp(x{i}/2) - x{j}",
+    "1/(x{i}**2 + 1)",
+    "x{i}**(1/3)",
+)
+
+
+def _bits(value):
+    """Bit-exact image of a float tuple or a cone coordinate."""
+    if isinstance(value, tuple):
+        return tuple(t.hex() for t in value)
+    return (value.t.hex(), value.z)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except NumericError as exc:
+        return ("NumericError", str(exc), exc.location)
+
+
+@st.composite
+def _step_cases(draw):
+    """(spec, v, x, c, a) over arity 1-4, obvious and parametric maps,
+    constant and two-piece rho, and radii at the apex, subnormal, on a
+    piece boundary after scaling, and arbitrary."""
+    arity = draw(st.integers(1, 4))
+    space = discrete_space(["z1", "z2", "z3"])
+    tables = [
+        dict(zip(space.points, draw(st.permutations(space.points))))
+        for _ in range(2)
+    ]
+    bound = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    if draw(st.booleans()):
+        rho = constant_action(tables[0])
+    else:
+        rho = PiecewiseConeAction(
+            (Piece(0.0, bound, tables[0]), Piece(bound, None, tables[1]))
+        )
+    if draw(st.integers(0, 2)) == 0:
+        spec = obvious_spec(arity, PointMap(space, space, tables[0]))
+    else:
+        components = tuple(
+            draw(st.sampled_from(_COMPONENTS)).format(
+                i=i, j=draw(st.integers(1, arity))
+            )
+            for i in range(1, arity + 1)
+        )
+        spec = parametric_spec(ExprFunction(arity, components), rho, space, space)
+    coords = st.tuples(*[st.floats(-3.0, 3.0)] * arity)
+    step = draw(st.integers(0, 40))
+    radius = draw(st.one_of(
+        st.none(),  # the apex
+        st.sampled_from([5e-324, 1e-310]),  # subnormal: a t underflows
+        # a t on the boundary or one binade off it
+        st.builds(lambda e: bound * 2.0 ** (step + e), st.sampled_from([0, 0, -1, 1])),
+        st.floats(1e-300, 1e3),
+    ))
+    c = CONE_APEX if radius is None else cone_coord(radius, draw(st.sampled_from(space.points)))
+    return spec, draw(coords), draw(coords), c, 2.0 ** (-step)
+
+
+class TestConjugateSteps:
+    @given(_step_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_step_equals_conjugate_bit_for_bit(self, case):
+        spec, v, x, c, a = case
+        expected = _outcome(lambda: conjugate(spec, a, v, x, c))
+        fx = _outcome(lambda: spec.apply_vec(x))
+        if fx[0] == "NumericError":  # derive raises this before the first step
+            assert fx == expected
+            return
+        got = _outcome(lambda: _conjugate_steps(spec, v, x, fx, c)(a))
+        if got[0] == "NumericError":
+            assert got == expected
+            return
+        w, cone, piece = got
+        assert expected.a == a
+        assert _bits(w) == _bits(expected.w)
+        assert _bits(fx) == _bits(expected.fx)
+        assert _bits(cone) == _bits(expected.cone)
+        assert piece == expected.piece
+
+    def test_scaled_radius_on_a_piece_boundary(self):
+        space = zspace()
+        rho = PiecewiseConeAction(
+            (
+                Piece(0.0, 1.0, {"z1": "z1", "z2": "z2"}),
+                Piece(1.0, None, {"z1": "z2", "z2": "z1"}),
+            )
+        )
+        spec = square_spec(space, rho)
+        for step in range(41):
+            a, c = 2.0 ** (-step), cone_coord(2.0**step, "z1")
+            cj = conjugate(spec, a, (1.0,), (3.0,), c)
+            w, cone, piece = _conjugate_steps(spec, (1.0,), (3.0,), (9.0,), c)(a)
+            assert (_bits(w), cone, piece) == (_bits(cj.w), cj.cone, cj.piece)
+            assert (cone, piece) == (cone_coord(2.0**step, "z2"), 1)
+
+    def test_subnormal_radius_underflows_to_the_apex(self):
+        spec = identity_spec(1, zspace())
+        c = cone_coord(5e-324, "z1")
+        step = _conjugate_steps(spec, (1.0,), (3.0,), (3.0,), c)
+        assert step(1.0)[1:] == (c, 0)
+        assert step(0.5)[1:] == (CONE_APEX, None)
+        assert conjugate(spec, 0.5, (1.0,), (3.0,), c).cone == CONE_APEX
+
+    @pytest.mark.parametrize("x, v", [((0.0,), (1.0,)), ((-1.0,), (1.0,))])
+    def test_evaluation_failure_raises_as_conjugate_does(self, x, v):
+        """At x = 0, k(x) fails before the first step; at x = -1 the first
+        step reaches w = 0. derive and nth_derivative raise the error
+        conjugate raises at a = 1."""
+        space = zspace()
+        spec = parametric_spec(ExprFunction(1, ("1/x1",)), id_action(space), space, space)
+        expected = _outcome(lambda: conjugate(spec, 1.0, v, x, CONE_APEX))
+        assert expected[0] == "NumericError"
+        for run in (
+            lambda: derive(spec, v, x, CONE_APEX),
+            lambda: nth_derivative(spec, 1, v, x, CONE_APEX),
+            lambda: nth_derivative(spec, 2, v, x, CONE_APEX),
+        ):
+            assert _outcome(run) == expected
 
 class TestDerive:
     def test_identity_exact(self):
@@ -340,3 +478,29 @@ class TestObviousSpec:
 
 def test_random_suite():
     assert suite_derive(Random("pytest-derive"), 8) == 8
+
+
+# sha256 over the sorted-key JSON of the derive documents of the
+# benchmark's calculus round for seed 1, in round order.
+CALCULUS_1_DERIVE_SHA256 = "c02eac19dd4e70c75162e6d3c83a3805ccf1e59dd3f82fd1e50918ca30646f7f"
+
+
+def test_calculus_round_documents_are_unchanged():
+    space = discrete_space(["z1", "z2", "z3"])
+    digest = hashlib.sha256()
+    for q in gen.calculus_round(1)["ops"]:
+        if q["op"] != "derive":
+            continue
+        rho = PiecewiseConeAction(tuple(
+            Piece(lo, p["until"], p["table"])
+            for lo, p in zip([0.0] + [p["until"] for p in q["rho"][:-1]], q["rho"])
+        ))
+        spec = parametric_spec(ExprFunction(q["arity"], tuple(q["k"])), rho, space, space)
+        cone = q["cone"]
+        c = CONE_APEX if cone == "star" else cone_coord(cone["t"], cone["z"])
+        if q["order"] == 1:
+            doc = documents.dump_derivative(derive(spec, q["v"], q["x"], c, tol=q["tol"]))
+        else:
+            doc = documents.dump_second_derivative(nth_derivative(spec, 2, q["v"], q["x"], c))
+        digest.update(json.dumps(doc, sort_keys=True).encode())
+    assert digest.hexdigest() == CALCULUS_1_DERIVE_SHA256

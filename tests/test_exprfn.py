@@ -7,11 +7,12 @@ from pathlib import Path
 from random import Random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratcalc import ExprFunction, InputError, NumericError
-from stratcalc.exprfn import _gate, _jacobian
+from stratcalc.exprfn import _component_evals, _gate, _jacobian, _parse
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402  (the benchmark's expression templates)
@@ -88,6 +89,34 @@ class TestEvaluationErrors:
         with pytest.raises(InputError):
             f.evaluate((1.0,))
 
+    def test_component_lambdas_only_on_failure(self):
+        before = _component_evals.cache_info().currsize
+        f = ExprFunction(2, ("x1 - 7*x2", "5/x1"))
+        assert f.evaluate((5.0, 1.0)) == (-2.0, 1.0)
+        assert _component_evals.cache_info().currsize == before
+        with pytest.raises(NumericError):
+            f.evaluate((0.0, 1.0))
+        assert _component_evals.cache_info().currsize == before + 1
+
+    @pytest.mark.parametrize("components, xs, location, message", [
+        # component 0 is infinite while component 1 divides by zero
+        (("x1*x2", "1/(x1 - x2)"), (1e200, 1e200), "component 0 = 'x1*x2'",
+         "non-finite value for component 0 = 'x1*x2' at (1e+200, 1e+200)"),
+        # a negative base to a fractional power is complex
+        (("x1", "x1**(1/3)"), (-8.0,), "component 1 = 'x1**(1/3)'",
+         "non-finite value for component 1 = 'x1**(1/3)' at (-8.0,)"),
+        (("x1", "x2", "1/x3"), (1.0, 2.0, 0.0), "component 2 = '1/x3'",
+         "evaluation failed for component 2 = '1/x3' at (1.0, 2.0, 0.0): "
+         "float division by zero"),
+        (("exp(x1)",), (1000.0,), "component 0 = 'exp(x1)'",
+         "evaluation failed for component 0 = 'exp(x1)' at (1000.0,): math range error"),
+    ])
+    def test_failure_names_the_first_failing_component(self, components, xs, location, message):
+        f = ExprFunction(len(xs), components)
+        with pytest.raises(NumericError) as err:
+            f.evaluate(xs)
+        assert (str(err.value), err.value.location) == (message, location)
+
 
 class TestLazyJacobian:
     def test_built_on_first_use(self):
@@ -147,9 +176,16 @@ GATE_REJECTS = [
 ]
 
 
+def _parses_as_sympify(source, arity):
+    xs = sympy.symbols(f"x1:{arity + 1}")
+    expected = sympy.sympify(source, locals={s.name: s for s in xs}, rational=True)
+    assert _parse(source, xs) == expected
+
+
 @pytest.mark.parametrize("source", GATE_ACCEPTS)
 def test_gate_accepts(source):
     ExprFunction(1, (source,))
+    _parses_as_sympify(source, 1)
 
 
 @pytest.mark.parametrize("source", GATE_REJECTS)
@@ -168,5 +204,6 @@ def test_component_must_be_a_string():
 @given(st.integers(0, 2**32), st.integers(0, 2**32), st.integers(1, 4))
 @settings(max_examples=300, deadline=None)
 def test_benchmark_templates_pass_the_gate(shape, constants, arity):
-    term = gen._term(Random(shape), Random(constants), arity)
-    _gate(gen.render(term), arity)
+    source = gen.render(gen._term(Random(shape), Random(constants), arity))
+    _gate(source, arity)
+    _parses_as_sympify(source, arity)

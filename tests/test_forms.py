@@ -433,5 +433,63 @@ class TestCartanBuild:
         assert "composite of differentials in degrees 0 and 1" in str(err.value)
 
 
+
+def _dense_jacobi_failure(g):
+    """The message of the first failing Jacobi sum over all (i, j, k, l)
+    in lexicographic order, zero constants included; None if none fails."""
+    n = g.dim
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    total = sum(
+                        g.c[i][j][m] * g.c[m][k][l]
+                        + g.c[j][k][m] * g.c[m][i][l]
+                        + g.c[k][i][m] * g.c[m][j][l]
+                        for m in range(n)
+                    )
+                    if total != 0:
+                        return (
+                            f"Jacobi identity fails on basis triple "
+                            f"({i}, {j}, {k}) at component {l}: sum {Fraction(total)}"
+                        )
+    return None
+
+
+class TestJacobiWitness:
+    @given(
+        _algebras(),
+        st.integers(0, 5), st.integers(0, 5), st.integers(0, 5),
+        st.fractions(-3, 3, max_denominator=4).filter(bool),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_perturbed_constant_names_the_dense_witness(self, g, i, j, l, delta):
+        n = g.dim
+        i, j, l = i % n, j % n, l % n
+        if i == j:
+            j = (i + 1) % n
+        brackets = []
+        for a in range(n):
+            for b in range(a + 1, n):
+                coeffs = list(g.c[a][b])
+                if (a, b) in ((i, j), (j, i)):
+                    coeffs[l] += delta if (a, b) == (i, j) else -delta
+                brackets.append((a, b, coeffs))
+        perturbed = LieAlgebraPresentation.from_brackets(n, brackets)
+        expected = _dense_jacobi_failure(perturbed)
+        if expected is None:
+            cert = validate_lie(perturbed)
+            assert (cert.antisymmetry_checked, cert.jacobi_checked) == (n**3, n**3)
+        else:
+            with pytest.raises(InputError) as err:
+                validate_lie(perturbed)
+            assert str(err.value) == expected
+
+    def test_valid_algebras_pass_with_full_counts(self):
+        for g in (abelian(10), sl2(), heisenberg(), _direct_sum(sl2(), heisenberg())):
+            assert _dense_jacobi_failure(g) is None
+            cert = validate_lie(g)
+            assert (cert.antisymmetry_checked, cert.jacobi_checked) == (g.dim**3,) * 2
+
 def test_random_suite():
     assert suite_forms(Random("pytest-forms"), 8) == 11
