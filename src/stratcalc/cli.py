@@ -4,6 +4,8 @@ Commands: stratify, limit, check-map, derive, cohomology, selftest.
 Exit codes: 0 success, 2 input validation, 3 mathematical-check failure,
 4 numeric non-convergence. The default derive tolerance can be set with
 the STRATCALC_TOL environment variable and overridden per run by --tol.
+The calculus modules are imported inside the commands that call them, so
+stratify, limit and check-map never load them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import os
 import sys
 
 from . import __version__, documents
-from .derive import DEFAULT_TOL, derive, nth_derivative
 from .errors import (
     InputError,
     InternalInvariantError,
@@ -22,9 +23,7 @@ from .errors import (
     UnsupportedPrecisionError,
     ValidationError,
 )
-from .forms import de_rham_complex
 from .refine import coarsening_from_refined, refined_poset
-from .selftest import run_selftest
 from .spaces import PointMap
 from .squares import alt_induce_g, check_square, induce_g
 from .stratify import Cover, standard_stratification
@@ -36,6 +35,8 @@ EXIT_NUMERIC = 4
 
 
 def _default_tol() -> float:
+    from .derive import DEFAULT_TOL
+
     raw = os.environ.get("STRATCALC_TOL")
     if raw is None:
         return DEFAULT_TOL
@@ -128,6 +129,8 @@ def cmd_check_map(args) -> int:
 
 
 def cmd_derive(args) -> int:
+    from .derive import derive, nth_derivative
+
     query = documents.load_query(
         documents.read_json(args.query),
         args.tol if args.tol is not None else _default_tol(),
@@ -153,6 +156,8 @@ def cmd_derive(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
+    from .forms import de_rham_complex
+
     g = documents.load_lie(documents.read_json(args.lie))
     report = de_rham_complex(g)
     _emit(args, documents.dump_complex(report))
@@ -160,6 +165,8 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
     ok, summary = run_selftest(args.seed, inject_fault=args.inject_fault)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -3,27 +3,17 @@
 Rationals serialize as exact "p/q" strings, floats with 17 significant
 digits, point identifiers as plain strings. Every emitted document
 carries a generator stamp so runs are attributable and reproducible.
+The calculus modules are imported inside the loaders that need them, so
+the topology commands never load them.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from . import __version__
-from .cones import CONE_APEX, ConeCoordinate, cone_coord
-from .derive import (
-    ConicalMapSpec,
-    DerivativeReport,
-    Piece,
-    PiecewiseConeAction,
-    SecondDerivativeReport,
-    constant_action,
-)
 from .errors import InputError
-from .exprfn import ExprFunction, decimal_exponent
-from .forms import ComplexReport, LieAlgebraPresentation
 from .refine import ClassMap
 from .spaces import (
     FiniteSpace,
@@ -35,6 +25,13 @@ from .spaces import (
 )
 from .squares import InducedSquare, SquareCertificate
 from .stratify import Cover, QuotientPoset, Stratification
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .cones import ConeCoordinate
+    from .derive import ConicalMapSpec, DerivativeReport, SecondDerivativeReport
+    from .forms import ComplexReport, LieAlgebraPresentation
 
 # Longest text of a Lie bracket coefficient, and largest |e| of its
 # decimal exponent; both are checked before Fraction() reads it.
@@ -234,6 +231,8 @@ def _cone_doc(c: ConeCoordinate):
 
 
 def load_cone(doc, space: FiniteSpace, where: str) -> ConeCoordinate:
+    from .cones import CONE_APEX, cone_coord
+
     if doc == "star":
         return CONE_APEX
     if not isinstance(doc, dict) or "t" not in doc:
@@ -249,6 +248,9 @@ def load_cone(doc, space: FiniteSpace, where: str) -> ConeCoordinate:
 
 
 def load_spec(doc: dict, where: str = "query spec") -> ConicalMapSpec:
+    from .derive import ConicalMapSpec, Piece, PiecewiseConeAction, constant_action
+    from .exprfn import ExprFunction
+
     kind = _require(doc, "kind", str, where)
     space_x = load_space(_require(doc, "space_x", dict, where), f"{where}: space_x")
     space_y = (
@@ -362,6 +364,10 @@ def dump_second_derivative(report: SecondDerivativeReport) -> dict:
 
 
 def _coefficient(value, where: str) -> Fraction:
+    from fractions import Fraction
+
+    from .exprfn import decimal_exponent
+
     text = str(value)
     if len(text) > COEFFICIENT_LIMIT or decimal_exponent(text) > COEFFICIENT_LIMIT:
         raise InputError(
@@ -372,6 +378,8 @@ def _coefficient(value, where: str) -> Fraction:
 
 
 def load_lie(doc: dict, where: str = "lie document") -> LieAlgebraPresentation:
+    from .forms import LieAlgebraPresentation
+
     dim = _require(doc, "dim", int, where)
     if dim > MAX_LIE_DIM:
         raise InputError(f"{where}: dimension {dim} exceeds the limit of {MAX_LIE_DIM}")

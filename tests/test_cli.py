@@ -13,6 +13,8 @@ import pytest
 import stratcalc
 from stratcalc.cli import main
 from stratcalc.documents import MAX_LIE_DIM
+from stratcalc.spaces import MAX_OPENS
+from stratcalc.stratify import MAX_CLASSES
 
 
 def write(path, doc):
@@ -98,6 +100,21 @@ class TestStratifyCommand:
         assert "member 0" in err and "'a', 'd'" in err
 
 
+    def test_classes_limit_exits_2_promptly(self, tmp_path, capsys):
+        # the 21 nonempty opens of a 21-point chain separate every point
+        points = [f"p{i:02d}" for i in range(MAX_CLASSES + 1)]
+        space = write(tmp_path / "chain.json",
+                      {"points": points, "poset": [list(p) for p in zip(points, points[1:])]})
+        cover = write(tmp_path / "cover.json",
+                      {"cover": [points[i:] for i in range(len(points))]})
+        start = time.perf_counter()
+        assert main(["stratify", "--space", space, "--cover", cover]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err == (f"error: {MAX_CLASSES + 1} classes exceed the up-set "
+                       f"enumeration bound of {MAX_CLASSES}\n")
+
+
 class TestLimitCommand:
     def test_discrete_running_example(self, w_docs, tmp_path):
         space, _ = w_docs
@@ -130,6 +147,16 @@ class TestLimitCommand:
         assert main(["limit", "--space", space]) == 2
         assert time.monotonic() - start < 5
         assert "exceeds" in capsys.readouterr().err
+
+    def test_opens_limit_exits_2_promptly(self, tmp_path, capsys):
+        # 17 singletons generate the 2**17 opens of a discrete space
+        points = [f"p{i}" for i in range(17)]
+        space = write(tmp_path / "big.json", {"points": points, "basis": [[p] for p in points]})
+        start = time.perf_counter()
+        assert main(["limit", "--space", space]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err == f"error: generated topology exceeds {MAX_OPENS} opens\n"
 
     def test_closure_witness_independent_of_hash_seed(self, tmp_path):
         # fifteen pairs of singletons fail union; the canonical first is named
@@ -491,11 +518,86 @@ class TestSelftestCommand:
         assert proc.stdout.endswith("result: FAIL\n")
 
 
+CALCULUS_MODULES = ("cones", "derive", "exprfn", "forms", "selftest")
+
+
+def loaded_after(tmp_path, *argvs):
+    """stratcalc submodules and sympy loaded by a fresh interpreter that
+    imports stratcalc.cli and runs each argv through cli.main in-process."""
+    code = (
+        "import json, sys\n"
+        "from stratcalc import cli\n"
+        f"for argv in {list(argvs)!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print(json.dumps(sorted(m.rpartition('.')[2] for m in sys.modules\n"
+        "                        if m.startswith('stratcalc.') or m == 'sympy')))\n"
+    )
+    proc = run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
 def test_import_does_not_load_sympy(tmp_path):
     code = "import sys, stratcalc.cli; print('sympy' in sys.modules)"
     proc = run_python(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+    assert loaded_after(tmp_path).isdisjoint(CALCULUS_MODULES)
+
+
+def test_topology_commands_load_no_calculus(tmp_path, w_docs):
+    space, cover = w_docs
+    mapdoc = write(tmp_path / "map.json", {"f": [[p, p] for p in "abcd"],
+                                           "mode": "identity-stratification"})
+    out = str(tmp_path / "out.json")
+    loaded = loaded_after(
+        tmp_path,
+        ["stratify", "--space", space, "--cover", cover, "--out", out],
+        ["limit", "--space", space, "--witness", "--out", out],
+        ["check-map", "--map", mapdoc, "--space", space, "--space", space,
+         "--cover", cover, "--out", out],
+    )
+    assert {"stratify", "refine", "squares", "documents"} <= loaded
+    assert loaded.isdisjoint(CALCULUS_MODULES + ("sympy",))
+
+
+def test_cohomology_loads_forms_not_derive(tmp_path):
+    lie = write(tmp_path / "ab2.json", {"dim": 2, "brackets": [[0, 1, ["1", "0"]]]})
+    loaded = loaded_after(tmp_path, ["cohomology", "--lie", lie, "--out", str(tmp_path / "c.json")])
+    assert "forms" in loaded
+    assert loaded.isdisjoint({"cones", "derive", "selftest", "sympy"})
+
+
+class TestDeriveNameGuard:
+    """Loading the submodule stratcalc.derive must not hide the function
+    stratcalc.derive, whichever import comes first, and the package is a
+    plain module once the submodule is loaded."""
+
+    CHECK = ("import sys\nassert stratcalc.derive is sys.modules['stratcalc.derive'].derive\n"
+             "assert type(stratcalc) is type(sys)\n")
+
+    def run(self, tmp_path, code):
+        proc = run_python(["-c", code + "import stratcalc\n" + self.CHECK], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_submodule_first(self, tmp_path):
+        self.run(tmp_path, "import stratcalc.derive\nfrom stratcalc import derive\n"
+                           "assert callable(derive) and derive.__name__ == 'derive'\n")
+
+    def test_cli_derive_first(self, tmp_path):
+        query = write(tmp_path / "q.json", {
+            "spec": {"kind": "obvious", "arity": 1,
+                     "space_x": {"points": ["z1"], "opens": [[], ["z1"]]}},
+            "point": {"x": [3.0], "v": [1.0], "cone": "star"},
+        })
+        self.run(tmp_path, "from stratcalc import cli\n"
+                           f"assert cli.main(['derive', '--query', {query!r}, '--out', 'r.json']) == 0\n")
+
+    def test_readme_library_example(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        assert "sc.derive(" in example
+        self.run(tmp_path, example)
 
 
 def test_unreadable_document_exits_2(tmp_path, capsys):
