@@ -91,10 +91,7 @@ def cone_poset(base: Poset) -> PosetCone:
     if CONE_POINT in base.elements:
         raise InputError(f"poset already contains the reserved element {CONE_POINT!r}")
     elements = (CONE_POINT,) + base.elements
-    rel = set(base.leq)
-    rel.add((CONE_POINT, CONE_POINT))
-    rel.update((CONE_POINT, e) for e in base.elements)
-    cone = Poset(elements, frozenset(rel))
+    cone = Poset(elements, base.leq | {(CONE_POINT, e) for e in elements})
     mins = [e for e in cone.elements if all(cone.le(e, o) for o in cone.elements)]
     if mins != [CONE_POINT]:
         raise InternalInvariantError("cone apex is not the unique minimum")
@@ -121,8 +118,8 @@ def cone_map(source: Poset, target: Poset, g: Mapping[str, str]) -> ConePosetMap
     missing = set(source.elements) - set(g)
     if missing:
         raise InputError(f"map undefined on {sorted(missing)}")
-    if not source.is_monotone(g, target):
-        bad = source.monotone_counterexample(g, target)
+    bad = source.monotone_counterexample(g, target)
+    if bad is not None:
         raise InputError(f"base map is not monotone at {bad}")
     sc, tc = cone_poset(source), cone_poset(target)
     mapping = {CONE_POINT: CONE_POINT}

@@ -542,8 +542,6 @@ class DiscreteSchemeMap:
     """
 
     report: DerivativeReport
-    domain_discrete: bool = True
-    codomain_discrete: bool = True
 
     def __post_init__(self):
         if not self.report.derivable:

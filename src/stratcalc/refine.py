@@ -92,23 +92,22 @@ class SectionReport:
     section: ClassMap
     injective: bool
     monotone: bool
-    retracts: bool
 
 
 def representative_section(pair: RefinementPair) -> SectionReport:
     """Send each coarse class to the fine class of its representative.
 
     Composing with the coarsening surjection gives the identity on coarse
-    classes by construction. Injectivity and monotonicity can genuinely
-    fail when refinement splits classes, so they are reported, not raised.
+    classes by construction, and is verified. Injectivity and
+    monotonicity can genuinely fail when refinement splits classes, so
+    they are reported, not raised.
     """
-    fine_q = quotient_poset(pair.fine.space, pair.fine)
-    coarse_q = quotient_poset(pair.coarse.space, pair.coarse)
+    surjection = coarsening_surjection(pair)
+    fine_q, coarse_q = surjection.source, surjection.target
     mapping = {
         cls.representative: fine_q.class_of(cls.representative)
         for cls in coarse_q.classes
     }
-    surjection = coarsening_surjection(pair)
     for c, f in mapping.items():
         if surjection(f) != c:
             raise InternalInvariantError(
@@ -121,7 +120,7 @@ def representative_section(pair: RefinementPair) -> SectionReport:
         monotone=monotone,
         surjective=len(set(mapping.values())) == len(fine_q.classes),
     )
-    return SectionReport(section, injective, monotone, retracts=True)
+    return SectionReport(section, injective, monotone)
 
 
 def maximal_cover(space: FiniteSpace) -> Cover:

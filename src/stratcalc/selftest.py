@@ -314,7 +314,6 @@ def suite_refine(rng: Random, cases: int) -> int:
         surj = coarsening_surjection(pair)
         _check(surj.monotone and surj.surjective)
         section = representative_section(pair)
-        _check(section.retracts)
         for cls in surj.target.classes:
             _check(surj(section.section(cls.representative)) == cls.representative,
                 "section composed with coarsening is not the identity"
@@ -357,7 +356,6 @@ def suite_squares(rng: Random, cases: int) -> int:
 
         f = rand_continuous_map(rng, space1, space2)
         result = induce_g(f, strat1, strat2)
-        _check(result.commutes_on_domain)
         cert = check_square(result.square)
         _check(cert.commutes)
 

@@ -20,8 +20,10 @@ and U_x is the AND of the masks that contain x.
   built from the empty set in O(|F| * n). A closure stops as soon as it
   grows past ``MAX_OPENS``, and explicit families larger than that are
   refused.
-* A poset keeps one up-set mask per element: the transitive closure is a
-  bitset Warshall pass and validation is O(n^2) mask operations.
+* A poset is one up-set mask per element and nothing else: the closure
+  is a bitset Warshall pass, validation and the Hasse pairs take O(n^2)
+  mask operations, ``le`` is a bit test, and ``leq`` and
+  ``strict_pairs()`` are pair views built on demand.
 
 All values here are immutable after construction and all operations are
 pure, so everything is safe to use concurrently.
@@ -29,10 +31,11 @@ pure, so everything is safe to use concurrently.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import and_
-from typing import Iterable, Iterator, Mapping
+from operator import and_, or_
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, InternalInvariantError
 
@@ -242,32 +245,35 @@ def spec_zmod(n: int) -> FiniteSpace:
     return discrete_space(f"p{p}" for p in primes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Poset:
-    """A finite partial order, stored as the full reflexive relation.
+    """A finite partial order, stored as one up-set mask per element.
 
-    Construction verifies reflexivity, antisymmetry, and transitivity
-    and raises :class:`InputError` naming the first failure in canonical
-    order.
+    Bit j of ``_up[i]`` is set when elements[i] <= elements[j], with the
+    elements in canonical order. ``Poset(elements, leq)`` builds one from
+    the full reflexive relation as pairs; validation checks reflexivity,
+    antisymmetry and transitivity on the masks and raises
+    :class:`InputError` naming the first failure in canonical order.
     """
 
     elements: tuple[str, ...]
-    leq: frozenset[tuple[str, str]]
-    # mask of the principal up-set of elements[i]
-    _up: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _up: tuple[int, ...]
 
-    def __post_init__(self):
-        els = frozenset(self.elements)
-        if len(els) != len(self.elements):
+    def __init__(self, elements: Iterable[str], leq: Iterable[tuple[str, str]]):
+        elements = tuple(sorted(elements))
+        if len(set(elements)) != len(elements):
             raise InputError("duplicate poset elements")
-        elements = tuple(sorted(self.elements))
-        object.__setattr__(self, "elements", elements)
-        index = {e: i for i, e in enumerate(elements)}
-        up = [0] * len(elements)
-        for a, b in self.leq:
-            if a not in els or b not in els:
-                raise InputError(f"relation pair ({a}, {b}) has unknown elements")
-            up[index[a]] |= 1 << index[b]
+        self._set(elements, _relation_masks(elements, leq, [0] * len(elements)))
+
+    @classmethod
+    def _of_masks(cls, elements: tuple[str, ...], up: Sequence[int]) -> "Poset":
+        """Poset on canonically ordered ``elements`` from up-set masks, validated."""
+        poset = object.__new__(cls)
+        poset._set(elements, up)
+        return poset
+
+    def _set(self, elements: tuple[str, ...], up: Sequence[int]):
+        """Check the three axioms on the masks, then store them."""
         for i, a in enumerate(elements):
             if not up[i] >> i & 1:
                 raise InputError(f"relation not reflexive at {a}")
@@ -285,6 +291,7 @@ class Poset:
                     raise InputError(
                         f"relation not transitive: ({a},{b}) and ({b},{d})"
                     )
+        object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "_up", tuple(up))
 
     @classmethod
@@ -296,26 +303,32 @@ class Poset:
         antisymmetry error.
         """
         elements = tuple(sorted(set(elements)))
-        index = {e: i for i, e in enumerate(elements)}
-        up = [1 << i for i in range(len(elements))]
-        for a, b in pairs:
-            if a not in index or b not in index:
-                raise InputError(f"relation pair ({a}, {b}) has unknown elements")
-            up[index[a]] |= 1 << index[b]
+        up = _relation_masks(elements, pairs, [1 << i for i in range(len(elements))])
         for k in range(len(up)):
             for i in range(len(up)):
                 if up[i] >> k & 1:
                     up[i] |= up[k]
-        rel = frozenset(
-            (a, elements[j]) for i, a in enumerate(elements) for j in _bits(up[i])
-        )
-        return cls(elements, rel)
+        return cls._of_masks(elements, up)
+
+    def _at(self, e: str) -> int:
+        """Index of ``e`` in ``elements``; ``len(elements)``, a bit no mask has, if absent."""
+        i = bisect_left(self.elements, e)
+        return i if self.elements[i:i + 1] == (e,) else len(self.elements)
 
     def le(self, a: str, b: str) -> bool:
-        return (a, b) in self.leq
+        i = self._at(a)
+        return i < len(self._up) and bool(self._up[i] >> self._at(b) & 1)
 
-    def up_set(self, x: str) -> frozenset[str]:
-        return frozenset(b for b in self.elements if self.le(x, b))
+    @property
+    def leq(self) -> frozenset[tuple[str, str]]:
+        """The full reflexive relation as pairs (a, b) with a <= b."""
+        return self.strict_pairs() | {(e, e) for e in self.elements}
+
+    def strict_pairs(self) -> frozenset[tuple[str, str]]:
+        els = self.elements
+        return frozenset(
+            (a, els[j]) for i, a in enumerate(els) for j in _bits(self._up[i] & ~(1 << i))
+        )
 
     def up_sets(self) -> list[frozenset[str]]:
         """Every up-closed subset, in canonical order.
@@ -328,33 +341,56 @@ class Poset:
         return sorted_sets(frozenset(_names(self.elements, m)) for m in family)
 
     def covers(self) -> list[tuple[str, str]]:
-        """Hasse pairs (a, b): a < b with nothing strictly between."""
-        strict = {(a, b) for a, b in self.leq if a != b}
-        out = []
-        for a, b in sorted(strict):
-            if not any((a, m) in strict and (m, b) in strict for m in self.elements):
-                out.append((a, b))
-        return out
+        """Hasse pairs (a, b): a < b with nothing strictly between, in sorted order.
 
-    def strict_pairs(self) -> frozenset[tuple[str, str]]:
-        return frozenset((a, b) for a, b in self.leq if a != b)
+        The covers of a are its strict up-set minus the strict up-sets of
+        its strict successors.
+        """
+        els = self.elements
+        strict = [m & ~(1 << i) for i, m in enumerate(self._up)]
+        return [
+            (a, els[j])
+            for a, s in zip(els, strict)
+            for j in _bits(s & ~reduce(or_, [strict[k] for k in _bits(s)], 0))
+        ]
 
     def is_monotone(self, mapping: Mapping[str, str], target: "Poset") -> bool:
-        return all(target.le(mapping[a], mapping[b]) for a, b in self.leq)
+        return self.monotone_counterexample(mapping, target) is None
 
     def monotone_counterexample(self, mapping: Mapping[str, str], target: "Poset"):
-        for a, b in sorted(self.leq):
-            if not target.le(mapping[a], mapping[b]):
-                return (a, b)
+        """First pair (a, b) of ``sorted(leq)`` whose images are not ordered
+        in ``target``, or None."""
+        els = self.elements
+        img = [target._at(mapping[e]) for e in els]
+        ups = target._up + (0,)
+        for i, m in enumerate(self._up):
+            for j in _bits(m):
+                if not ups[img[i]] >> img[j] & 1:
+                    return (els[i], els[j])
         return None
 
 
+def _relation_masks(elements: tuple[str, ...], pairs, up: list[int]) -> list[int]:
+    """Set bit j of ``up[i]`` for each pair (elements[i], elements[j]); the
+    least pair naming an unknown element is refused."""
+    index = {e: i for i, e in enumerate(elements)}
+    unknown = []
+    for a, b in pairs:
+        if a in index and b in index:
+            up[index[a]] |= 1 << index[b]
+        else:
+            unknown.append((a, b))
+    if unknown:
+        a, b = min(unknown, key=lambda p: tuple(map(str, p)))
+        raise InputError(f"relation pair ({a}, {b}) has unknown elements")
+    return up
+
+
 def alexandroff_from_poset(poset: Poset) -> FiniteSpace:
-    """Topology whose opens are exactly the up-closed sets of the poset."""
-    family = set(poset.up_sets())
-    family.add(frozenset())
-    family.add(frozenset(poset.elements))
-    return FiniteSpace(poset.elements, frozenset(family))
+    """Topology whose opens are exactly the up-closed sets of the poset:
+    the unions of its principal up-sets, the empty union included."""
+    opens = (frozenset(_names(poset.elements, m)) for m in _union_closure(poset._up))
+    return FiniteSpace(poset.elements, frozenset(opens))
 
 
 def specialization_preorder(space: FiniteSpace) -> frozenset[tuple[str, str]]:
@@ -368,22 +404,6 @@ def specialization_preorder(space: FiniteSpace) -> frozenset[tuple[str, str]]:
     return frozenset(
         (x, pts[j]) for i, x in enumerate(pts) for j in _bits(space._minimal[i])
     )
-
-
-def strict_partial_order(elements: Iterable[str], preorder: Iterable[tuple[str, str]]) -> Poset:
-    """Partial order carved out of a preorder.
-
-    x < y holds when x <= y but not y <= x; the reflexive closure of
-    that strict relation is returned. Antisymmetry holds by construction
-    and transitivity of the strict part is certified by Poset validation.
-    """
-    elements = tuple(sorted(set(elements)))
-    pre = set(preorder)
-    rel = {(a, a) for a in elements}
-    for a, b in pre:
-        if a != b and (b, a) not in pre:
-            rel.add((a, b))
-    return Poset(elements, frozenset(rel))
 
 
 @dataclass(frozen=True)

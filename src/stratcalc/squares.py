@@ -28,12 +28,7 @@ from .errors import (
     StructuralError,
     ValidationError,
 )
-from .spaces import (
-    FiniteSpace,
-    PointMap,
-    check_continuity,
-    continuity_counterexample,
-)
+from .spaces import FiniteSpace, PointMap, continuity_counterexample
 from .stratify import Stratification, identity_stratification
 
 
@@ -155,7 +150,6 @@ class InducedSquare:
 
     square: StratifiedMapSquare
     subspace: RepresentativeSubspace | None
-    commutes_on_domain: bool
     commutes_everywhere: bool
     full_witness: tuple | None
     g_monotone: bool
@@ -166,6 +160,16 @@ def _require_space_match(f: PointMap, s1: Stratification, s2: Stratification):
         raise InputError("map domain does not match the first stratified space")
     if set(f.codomain.points) != set(s2.space.points):
         raise InputError("map codomain does not match the second stratified space")
+
+
+def _require_continuous(m: PointMap):
+    witness = continuity_counterexample(m)
+    if witness is not None:
+        raise StructuralError(
+            f"map is not continuous: preimage of {sorted(witness[0])} "
+            f"is {sorted(witness[1])}",
+            witness=witness,
+        )
 
 
 def induce_g(
@@ -185,24 +189,10 @@ def induce_g(
     square.
     """
     _require_space_match(f, s1, s2)
-    plain = PointMap(s1.space, s2.space, f.table)
-    if not check_continuity(plain):
-        witness = continuity_counterexample(plain)
-        raise StructuralError(
-            f"map is not continuous: preimage of {sorted(witness[0])} "
-            f"is {sorted(witness[1])}",
-            witness=witness,
-        )
+    _require_continuous(PointMap(s1.space, s2.space, f.table))
     sub = choose_representatives(s1, representatives)
-    g = {}
-    for rep_point in sub.reps:
-        cls = s1.class_of(rep_point)
-        g[cls] = s2.class_of(f(rep_point))
-    top = PointMap(
-        sub.topology,
-        s2.second_topology,
-        {r: f(r) for r in sub.reps},
-    )
+    g = {s1.class_of(r): s2.class_of(f(r)) for r in sub.reps}
+    top = PointMap(sub.topology, s2.second_topology, {r: f(r) for r in sub.reps})
     square = StratifiedMapSquare(top, g, s1, s2, sub.reps, "restricted")
     for r in sub.reps:
         if g[s1.class_of(r)] != s2.class_of(f(r)):
@@ -216,7 +206,6 @@ def induce_g(
     return InducedSquare(
         square,
         sub,
-        commutes_on_domain=True,
         commutes_everywhere=full_witness is None,
         full_witness=full_witness,
         g_monotone=monotone,
@@ -232,13 +221,7 @@ def alt_induce_g(f: PointMap, s2: Stratification) -> InducedSquare:
     """
     s1 = identity_stratification(f.domain)
     _require_space_match(f, s1, s2)
-    witness = continuity_counterexample(PointMap(f.domain, s2.space, f.table))
-    if witness is not None:
-        raise StructuralError(
-            f"map is not continuous: preimage of {sorted(witness[0])} "
-            f"is {sorted(witness[1])}",
-            witness=witness,
-        )
+    _require_continuous(PointMap(f.domain, s2.space, f.table))
     g = {p: s2.class_of(f(p)) for p in f.domain.points}
     top = PointMap(f.domain, s2.second_topology, f.table)
     square = StratifiedMapSquare(
@@ -251,7 +234,6 @@ def alt_induce_g(f: PointMap, s2: Stratification) -> InducedSquare:
     return InducedSquare(
         square,
         None,
-        commutes_on_domain=True,
         commutes_everywhere=True,
         full_witness=None,
         g_monotone=monotone,

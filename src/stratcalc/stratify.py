@@ -25,8 +25,6 @@ from .spaces import (
     Poset,
     generate_topology,
     sorted_sets,
-    specialization_preorder,
-    strict_partial_order,
 )
 
 MAX_CLASSES = 20
@@ -144,6 +142,16 @@ class QuotientPoset:
         return self.point_class[point]
 
 
+def _inclusion_order(sigs: list[frozenset[int]]) -> list[int]:
+    """Up-set masks of strict signature inclusion plus the diagonal: bit j
+    of entry i when sigs[i] < sigs[j] or i = j."""
+    bits = [sum(1 << t for t in s) for s in sigs]
+    return [
+        sum(1 << j for j, b in enumerate(bits) if not a & ~b and (a != b or i == j))
+        for i, a in enumerate(bits)
+    ]
+
+
 def quotient_poset(space: FiniteSpace, cover: Cover) -> QuotientPoset:
     h = h_map(space, cover)
     fibers: dict[frozenset[int], set[str]] = {}
@@ -156,13 +164,7 @@ def quotient_poset(space: FiniteSpace, cover: Cover) -> QuotientPoset:
         )
     )
     reps = tuple(c.representative for c in classes)
-    rel = frozenset(
-        (a.representative, b.representative)
-        for a in classes
-        for b in classes
-        if a.signature <= b.signature
-    )
-    poset = Poset(reps, rel)
+    poset = Poset._of_masks(reps, _inclusion_order([c.signature for c in classes]))
     point_class = {x: min(fibers[h[x]]) for x in space.points}
     return QuotientPoset(classes, poset, point_class)
 
@@ -279,9 +281,7 @@ def preorder_to_partial_order(h: HSignature) -> Poset:
     Two points with equal signatures become incomparable. Validation of
     the returned poset certifies transitivity of the strict part.
     """
-    pts = h.points
-    pre = {(x, y) for x in pts for y in pts if h[x] <= h[y]}
-    return strict_partial_order(pts, pre)
+    return Poset._of_masks(h.points, _inclusion_order([h[x] for x in h.points]))
 
 
 def preorder_from_stratification(strat: Stratification) -> frozenset[tuple[str, str]]:
@@ -298,20 +298,22 @@ def preorder_from_stratification(strat: Stratification) -> frozenset[tuple[str, 
 def identity_stratification(space: FiniteSpace) -> Stratification:
     """The space stratified over itself by the identity map.
 
-    The order on points is the partial order carved from the
-    specialization preorder of the space's own topology. The identity is
-    continuous onto that order's up-set topology exactly when the space
-    is T0, so non-T0 spaces are rejected.
+    The order on points is the specialization order of the space's own
+    topology: x <= y iff y lies in U_x. The identity is continuous onto
+    that order's up-set topology exactly when the space is T0, that is
+    when no two points share their minimal open, so non-T0 spaces are
+    rejected naming the least such pair.
     """
-    pre = specialization_preorder(space)
-    if any(x != y and (y, x) in pre for x, y in pre):
-        x, y = min((x, y) for x, y in pre if x != y and (y, x) in pre)
+    minimal = space._minimal
+    if len(set(minimal)) < len(minimal):
+        i = next(i for i, u in enumerate(minimal) if minimal.count(u) > 1)
+        x, y = space.points[i], space.points[minimal.index(minimal[i], i + 1)]
         raise StructuralError(
             f"identity stratification needs a T0 space; {x} and {y} are "
             f"topologically indistinguishable",
             witness=(x, y),
         )
-    poset = strict_partial_order(space.points, pre)
+    poset = Poset._of_masks(space.points, minimal)
     classes = tuple(
         StratumClass(p, frozenset({p}), None) for p in space.points
     )

@@ -17,6 +17,7 @@ from stratcalc import (
     PointMap,
     abelian,
     ce_oracle,
+    check_square,
     closed_form_parametric,
     cone_coord,
     de_rham_complex,
@@ -122,7 +123,7 @@ def test_criterion_4_induction_on_representatives():
         strat2 = standard_stratification(space2, rand_cover(rng, space2))
         f = rand_continuous_map(rng, space1, space2)
         result = induce_g(f, strat1, strat2)
-        assert result.commutes_on_domain
+        assert check_square(result.square).commutes
     # two points in one class: the square must break exactly off the
     # representative subspace
     space1 = discrete_space("ab")
@@ -133,7 +134,7 @@ def test_criterion_4_induction_on_representatives():
     )
     f = PointMap(space1, space2, {"a": "p", "b": "q"})
     result = induce_g(f, strat1, strat2)
-    assert result.commutes_on_domain
+    assert check_square(result.square).commutes
     assert not result.commutes_everywhere
     assert result.full_witness == ("b", "p", "q")
     report(4, "induced squares commute on representatives (50 instances); "

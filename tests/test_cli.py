@@ -416,6 +416,74 @@ class TestDeriveCommand:
         assert "exponent" in capsys.readouterr().err
 
 
+BAD_ORDERS = (0, 3, 1.5, "2", True, "x", None)
+
+
+@pytest.fixture(scope="module")
+def bad_order_runs(tmp_path_factory):
+    """Exit code, seconds, stderr and whether sympy is loaded after each
+    bad-order query, run through cli.main in one fresh interpreter."""
+    tmp_path = tmp_path_factory.mktemp("orders")
+    spec = {"kind": "parametric", "k": ["x1**2"],
+            "rho": [{"until": None, "table": {"z1": "z1"}}],
+            "space_x": {"points": ["z1"], "opens": [[], ["z1"]]}}
+    queries = [
+        write(tmp_path / f"q{i}.json",
+              {"spec": spec, "point": {"x": [3.0], "v": [1.0]}, "order": order})
+        for i, order in enumerate(BAD_ORDERS)
+    ]
+    code = (
+        "import contextlib, io, json, sys, time\n"
+        "from stratcalc import cli\n"
+        "runs = []\n"
+        f"for query in {queries!r}:\n"
+        "    err = io.StringIO()\n"
+        "    start = time.perf_counter()\n"
+        "    with contextlib.redirect_stderr(err):\n"
+        "        code = cli.main(['derive', '--query', query])\n"
+        "    runs.append([code, time.perf_counter() - start, err.getvalue(),\n"
+        "                 'sympy' in sys.modules])\n"
+        "print(json.dumps(runs))\n"
+    )
+    proc = run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    return dict(zip(map(json.dumps, BAD_ORDERS), json.loads(proc.stdout)))
+
+
+@pytest.mark.parametrize("order", map(json.dumps, BAD_ORDERS))
+def test_bad_derive_order_exits_2_before_the_spec_loads(bad_order_runs, order):
+    code, seconds, err, sympy_loaded = bad_order_runs[order]
+    assert code == 2
+    assert seconds < 1.0
+    assert err == f"error: query: order must be the integer 1 or 2, got {order}\n"
+    assert not sympy_loaded
+
+
+def test_poset_witnesses_independent_of_hash_seed(tmp_path):
+    # several unknown pairs and several indistinguishable pairs: the least
+    # of each is named, whatever the set iteration order
+    code = (
+        "from stratcalc import (InputError, Poset, StructuralError,\n"
+        "                       generate_topology, identity_stratification)\n"
+        "try:\n"
+        "    Poset(('a', 'b'), {('a', 'a'), ('b', 'b'), ('a', 'x'), ('y', 'b'), ('q', 'a')})\n"
+        "except InputError as exc:\n"
+        "    print(exc)\n"
+        "space = generate_topology('abcdef', [{'c', 'd'}, {'b', 'e', 'f'}, {'a'}])\n"
+        "try:\n"
+        "    identity_stratification(space)\n"
+        "except StructuralError as exc:\n"
+        "    print(exc, exc.witness)\n"
+    )
+    runs = [run_python(["-c", code], tmp_path, PYTHONHASHSEED=seed) for seed in ("1", "2")]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout == (
+        "relation pair (a, x) has unknown elements\n"
+        "identity stratification needs a T0 space; b and e are topologically "
+        "indistinguishable ('b', 'e')\n"
+    )
+
+
 class TestCohomologyCommand:
     def test_sl2(self, tmp_path):
         lie = write(

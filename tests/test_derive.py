@@ -399,9 +399,11 @@ class TestDAtPoint:
 
 class TestWrapDiscrete:
     def test_wrapper_flags_and_value(self):
-        report = derive(identity_spec(1, zspace()), (1.0,), (2.0,), CONE_APEX)
+        space = zspace()
+        report = derive(identity_spec(1, space), (1.0,), (2.0,), CONE_APEX)
         wrapped = wrap_discrete(report)
-        assert wrapped.domain_discrete and wrapped.codomain_discrete
+        # the wrapped map lives over a discrete space: every singleton is open
+        assert all(frozenset({p}) in space.opens for p in space.points)
         assert wrapped.value == report.value
         assert wrapped.unwrap() is report
 

@@ -2,6 +2,7 @@
 
 import ast
 import re
+import time
 from itertools import chain, combinations
 from random import Random
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratcalc import (
+    Cover,
     FiniteSpace,
     InputError,
     PointMap,
@@ -19,6 +21,7 @@ from stratcalc import (
     discrete_space,
     generate_topology,
     indiscrete_space,
+    quotient_poset,
     spec_zmod,
     specialization_preorder,
 )
@@ -112,6 +115,27 @@ def relations(draw):
     elements = "abcdef"[: draw(st.integers(min_value=1, max_value=6))]
     pair = st.tuples(st.sampled_from(elements), st.sampled_from(elements))
     return tuple(elements), draw(st.lists(pair, max_size=8))
+
+
+@st.composite
+def partial_orders(draw, max_elements=8):
+    """Elements and generating pairs of a partial order on at most 8
+    elements. The pairs follow a drawn linear extension, so they point
+    both ways in the canonical order."""
+    n = draw(st.integers(min_value=0, max_value=max_elements))
+    chain = draw(st.permutations("abcdefgh"[:n]))
+    index = st.integers(min_value=0, max_value=max(n - 1, 0))
+    picks = draw(st.lists(st.tuples(index, index), max_size=12)) if n else []
+    return tuple(sorted(chain)), [(chain[i], chain[j]) for i, j in picks if i < j]
+
+
+@st.composite
+def discrete_covers(draw):
+    """A discrete space on at most 8 points and a cover of it."""
+    points = "abcdefgh"[: draw(st.integers(min_value=1, max_value=8))]
+    members = draw(st.lists(st.frozensets(st.sampled_from(points), min_size=1), max_size=6))
+    missed = frozenset(points).difference(*members)
+    return discrete_space(points), tuple(members) + ((missed,) if missed else ())
 
 
 WITNESS = re.compile(r"opens not closed under (union|intersection): (\[.*?\]) [|&] (\[.*?\])$")
@@ -352,6 +376,53 @@ class TestAlexandroff:
         else:
             with pytest.raises(InputError):
                 Poset(elements, frozenset(rel))
+
+    @given(partial_orders(), partial_orders(max_elements=4), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_views_match_pair_definitions(self, case, target_case, data):
+        elements, pairs = case
+        rel = brute_force_order_closure(elements, pairs)
+        strict = {(a, b) for a, b in rel if a != b}
+        poset = Poset.generate(elements, pairs)
+        assert poset.leq == rel
+        assert poset.strict_pairs() == strict
+        assert all(poset.le(a, b) == ((a, b) in rel) for a in elements for b in elements)
+        assert poset.covers() == sorted(
+            (a, b) for a, b in strict
+            if not any((a, m) in strict and (m, b) in strict for m in elements)
+        )
+        from_pairs = Poset(elements, frozenset(rel))
+        assert poset == from_pairs and hash(poset) == hash(from_pairs)
+
+        assert poset.monotone_counterexample({e: e for e in elements}, poset) is None
+        target_elements, target_pairs = target_case
+        if not target_elements:
+            return
+        target_rel = brute_force_order_closure(target_elements, target_pairs)
+        target = Poset.generate(target_elements, target_pairs)
+        mapping = {e: data.draw(st.sampled_from(target_elements)) for e in elements}
+        first = next(
+            ((a, b) for a, b in sorted(rel) if (mapping[a], mapping[b]) not in target_rel),
+            None,
+        )
+        assert poset.monotone_counterexample(mapping, target) == first
+        assert poset.is_monotone(mapping, target) == (first is None)
+
+    @given(discrete_covers())
+    @settings(max_examples=200, deadline=None)
+    def test_quotient_order_is_signature_inclusion(self, case):
+        space, members = case
+        quotient = quotient_poset(space, Cover(space, members))
+        sig = {c.representative: c.signature for c in quotient.classes}
+        assert quotient.poset.leq == {(a, b) for a in sig for b in sig if sig[a] <= sig[b]}
+
+    def test_chain_covers_in_quadratic_time(self):
+        elements = [f"p{i:03d}" for i in range(400)]
+        poset = Poset.generate(elements, zip(elements, elements[1:]))
+        start = time.perf_counter()
+        covers = poset.covers()
+        assert time.perf_counter() - start < 0.2
+        assert covers == list(zip(elements, elements[1:]))
 
     def test_specialization_recovers_order(self):
         poset = Poset.generate("abcd", [("a", "b"), ("b", "c")])
