@@ -12,13 +12,14 @@ Every component passes three stages:
   against the size bounds below, before any other code sees it, so text
   from a document is never evaluated and no literal or power can blow
   up;
-- sympy parses the unchanged text as ``sympify(text, rational=True)``
-  does, over a namespace built once (:func:`_parse`),
-  :func:`_validate_tree` checks the parsed tree a second time, and the
-  components are compiled together to one plain math-module lambda
-  returning their tuple, once per function, and cached. Per-component
-  lambdas are built only when an evaluation fails, to name the failing
-  component. sympy is imported on the first parse, so programs that
+- sympy builds the tree from the gate's AST (:func:`_build`), applying
+  the operators ``sympify(text, rational=True)`` would apply,
+  :func:`_validate_tree` checks the built tree a second time, and the
+  tree is printed once with lambdify's printer and compiled once
+  (:func:`_lambda`) to one plain math-module function returning the
+  tuple of the components, once per function, and cached. Per-component
+  functions are built only when an evaluation fails, to name the failing
+  component. sympy is imported on the first build, so programs that
   never build an :class:`ExprFunction` never load it;
 - the symbolic Jacobian is built on the first :meth:`ExprFunction.jacobian`
   call and cached. It exists to serve as an analytic cross-check for the
@@ -28,10 +29,9 @@ Every component passes three stages:
 from __future__ import annotations
 
 import ast
-import builtins
 import math
+import operator
 import re
-import types
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -47,8 +47,11 @@ MAX_POWER_TERM = 64  # |p| and |q| of a power's exponent p or p/q
 MAX_CONSTANT_BITS = 4096  # size of the rationals an expression can form
 
 _FUNCTIONS = ("sin", "cos", "exp")
-_BINARY = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-_UNARY = (ast.UAdd, ast.USub)
+_OPERATORS = {  # the binary and unary operators of the language
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: operator.pow,
+    ast.UAdd: operator.pos, ast.USub: operator.neg,
+}
 _VARIABLE = re.compile(r"x([1-9][0-9]*)")
 _EXPONENT = re.compile(r"[eE][+-]?([0-9][0-9_]*)")
 
@@ -59,11 +62,11 @@ def decimal_exponent(literal: str) -> int:
     return int(match.group(1).replace("_", "")) if match else 0
 
 
-def _gate(source: str, arity: int) -> None:
+def _gate(source: str, arity: int) -> tuple[str, ast.Expression]:
     """Refuse ``source`` unless it is in the expression language and
     within the size bounds; the checks run on the Python AST of the text
     with outer whitespace stripped and ``^`` read as ``**``, as sympy
-    reads it."""
+    reads it. Returns that text and its AST."""
     if len(source) > MAX_EXPR_CHARS:
         raise InputError(
             f"expression of {len(source)} characters; limit is {MAX_EXPR_CHARS}"
@@ -71,6 +74,8 @@ def _gate(source: str, arity: int) -> None:
     text = source.strip().replace("^", "**")
     try:
         tree = ast.parse(text, mode="eval")
+        if "\n" in text:  # as sympy read it: no continuation line or comment
+            ast.parse(text.replace("\n", ""), mode="eval")  # before more code
     except (SyntaxError, ValueError) as exc:
         raise InputError(f"cannot parse expression {source!r}: {exc}") from None
     nodes = 0
@@ -79,7 +84,7 @@ def _gate(source: str, arity: int) -> None:
         raise InputError(f"{what} in expression {source!r}")
 
     def unsigned(node):
-        while isinstance(node, ast.UnaryOp) and isinstance(node.op, _UNARY):
+        while isinstance(node, ast.UnaryOp) and type(node.op) in _OPERATORS:
             node = node.operand
         return node
 
@@ -114,7 +119,7 @@ def _gate(source: str, arity: int) -> None:
             refuse(f"more than {MAX_EXPR_NODES} nodes")
         if depth > MAX_EXPR_DEPTH:
             refuse(f"nesting deeper than {MAX_EXPR_DEPTH}")
-        if isinstance(node, ast.BinOp) and isinstance(node.op, _BINARY):
+        if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
             var, power, size = visit(node.left, depth + 1)
             if isinstance(node.op, ast.Pow):
                 p = power_term(node.right)
@@ -133,7 +138,7 @@ def _gate(source: str, arity: int) -> None:
             if size > MAX_CONSTANT_BITS:
                 refuse(f"constants beyond {MAX_CONSTANT_BITS} bits")
             return var, power, size
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, _UNARY):
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _OPERATORS:
             return visit(node.operand, depth + 1)
         if isinstance(node, ast.Call):
             if not (
@@ -164,119 +169,109 @@ def _gate(source: str, arity: int) -> None:
         refuse(f"disallowed syntax {type(node).__name__}")
 
     visit(tree.body, 1)
+    return text, tree
 
 
-def _validate_tree(expr, allowed_symbols, source: str):
+def _build(text: str, tree: ast.Expression, xs):
+    """The sympy tree of a gated AST: the same operators, in the same
+    order, on the same objects as ``sympify(text, rational=True)`` applies
+    to the text: ``Integer`` for an int literal, ``Rational`` of the
+    literal text for a decimal one."""
     import sympy
 
+    def build(node):
+        if isinstance(node, ast.BinOp):
+            return _OPERATORS[type(node.op)](build(node.left), build(node.right))
+        if isinstance(node, ast.UnaryOp):
+            return _OPERATORS[type(node.op)](build(node.operand))
+        if isinstance(node, ast.Call):
+            return getattr(sympy, node.func.id)(build(node.args[0]))  # one of _FUNCTIONS
+        if isinstance(node, ast.Name):
+            return xs[int(node.id[1:]) - 1]
+        if type(node.value) is int:
+            return sympy.Integer(node.value)
+        return sympy.Rational(ast.get_source_segment(text, node))
+
+    return build(tree.body)
+
+
+def _validate_tree(expr, source: str):
+    """Refuse a built tree that evaluation took out of the language, such
+    as ``(-1)**(1/2)`` (I), ``1/(x1-x1)`` (zoo) or ``exp(1)`` (E)."""
+    import sympy
+
+    allowed = (sympy.Symbol, sympy.Rational, sympy.Add, sympy.Mul, sympy.Pow,
+               sympy.sin, sympy.cos, sympy.exp)
     for node in sympy.preorder_traversal(expr):
-        if isinstance(node, sympy.Symbol):
-            if node not in allowed_symbols:
-                raise InputError(
-                    f"unknown variable {node} in expression {source!r}"
-                )
-        elif node.is_Number:
-            if not isinstance(node, sympy.Rational):
-                raise InputError(
-                    f"non-rational constant {node} in expression {source!r}"
-                )
-        elif isinstance(node, (sympy.Add, sympy.Mul, sympy.Pow)):
-            continue
-        elif isinstance(node, (sympy.sin, sympy.cos, sympy.exp)):
-            continue
-        else:
+        if node.is_Number and not isinstance(node, sympy.Rational):
+            raise InputError(f"non-rational constant {node} in expression {source!r}")
+        if not isinstance(node, allowed):
             raise InputError(
-                f"disallowed operation {type(node).__name__} in "
-                f"expression {source!r}"
+                f"disallowed operation {type(node).__name__} in expression {source!r}"
             )
 
 
-@lru_cache(maxsize=None)
-def _parse_namespace() -> dict:
-    """The namespace ``parse_expr`` builds when it is given none: all of
-    ``from sympy import *``, the builtin functions, and Max and Min as
-    max and min. Built on the first parse instead of on every parse."""
-    import sympy
-
-    namespace: dict = {}
-    exec("from sympy import *", namespace)
-    namespace.update(
-        (name, obj)
-        for name, obj in vars(builtins).items()
-        if isinstance(obj, types.BuiltinFunctionType)
-    )
-    namespace.update(max=sympy.Max, min=sympy.Min)
-    return namespace
+_PRINTER_SETTINGS = {  # lambdify's for modules="math"
+    "fully_qualified_modules": False, "inline": True,
+    "allow_unknown_functions": True, "user_functions": {},
+}
 
 
-def _parse(source: str, symbols):
-    """``sympify(source, rational=True)`` over :func:`_parse_namespace`:
-    the same transformations, newlines dropped, and tokenizer and syntax
-    errors raised as ``SympifyError``."""
-    import sympy
-    from sympy.parsing.sympy_parser import (
-        TokenError,
-        convert_xor,
-        parse_expr,
-        rationalize,
-        standard_transformations,
-    )
+def _source(xs, expr) -> tuple[str, dict]:
+    """The source sympy's lambdify emits for ``xs``, one expression or a
+    tuple of them and ``modules="math"``, with the function named ``f``,
+    and the math functions it calls."""
+    from sympy.printing.pycode import PythonCodePrinter
 
-    text = source.replace("\n", "")
-    try:
-        return parse_expr(
-            text,
-            local_dict={s.name: s for s in symbols},
-            global_dict=_parse_namespace(),
-            transformations=standard_transformations + (rationalize, convert_xor),
-        )
-    except (TokenError, SyntaxError) as exc:
-        raise sympy.SympifyError(f"could not parse {text!r}", exc) from None
+    printer = PythonCodePrinter(_PRINTER_SETTINGS)
+    if isinstance(expr, tuple):
+        body = "(" + ", ".join(printer.doprint(e) for e in expr) + ",)"
+    else:
+        body = printer.doprint(expr)
+    source = f"def f({', '.join(x.name for x in xs)}):\n    return {body}\n"
+    names = printer.module_imports.get("math", ())
+    return source, {name: getattr(math, name) for name in names}
+
+
+def _lambda(xs, expr):
+    """:func:`_source` compiled once and run over its math functions."""
+    source, namespace = _source(xs, expr)
+    exec(compile(source, "<exprfn>", "exec"), namespace)
+    return namespace["f"]
 
 
 @lru_cache(maxsize=None)
 def _compile(components: tuple[str, ...], arity: int):
-    """Gated, parsed and validated expressions with one lambda that
-    returns the tuple of their values."""
-    for source in components:
-        _gate(source, arity)
+    """The symbols, the gated, built and validated expressions, and one
+    lambda that returns the tuple of their values."""
+    gated = [_gate(source, arity) for source in components]
     import sympy
 
     xs = sympy.symbols(f"x1:{arity + 1}")
-    allowed = set(xs)
     exprs = []
-    for source in components:
+    for source, (text, tree) in zip(components, gated):
         try:
-            expr = _parse(source, xs)
-        except (sympy.SympifyError, SyntaxError, TypeError) as exc:
+            expr = _build(text, tree, xs)
+        except (TypeError, ValueError) as exc:
             raise InputError(f"cannot parse expression {source!r}: {exc}") from None
-        _validate_tree(expr, allowed, source)
+        _validate_tree(expr, source)
         exprs.append(expr)
-    return tuple(exprs), sympy.lambdify(xs, tuple(exprs), modules="math")
+    return xs, tuple(exprs), _lambda(xs, tuple(exprs))
 
 
 @lru_cache(maxsize=None)
 def _component_evals(components: tuple[str, ...], arity: int):
     """One lambda per component, built the first time an evaluation has
     to name the component that failed."""
-    import sympy
-
-    exprs, _ = _compile(components, arity)
-    xs = sympy.symbols(f"x1:{arity + 1}")
-    return tuple(sympy.lambdify(xs, e, modules="math") for e in exprs)
+    xs, exprs, _ = _compile(components, arity)
+    return tuple(_lambda(xs, e) for e in exprs)
 
 
 @lru_cache(maxsize=None)
 def _jacobian(components: tuple[str, ...], arity: int):
     """Lambdas of the partial derivatives, one row per component."""
-    import sympy
-
-    exprs, _ = _compile(components, arity)
-    xs = sympy.symbols(f"x1:{arity + 1}")
-    return tuple(
-        tuple(sympy.lambdify(xs, sympy.diff(e, x), modules="math") for x in xs)
-        for e in exprs
-    )
+    xs, exprs, _ = _compile(components, arity)
+    return tuple(tuple(_lambda(xs, e.diff(x)) for x in xs) for e in exprs)
 
 
 @dataclass(frozen=True)
@@ -294,7 +289,7 @@ class ExprFunction:
             raise InputError("at least one component expression required")
         if not all(isinstance(c, str) for c in self.components):
             raise InputError("component expressions must be strings")
-        _compile(self.components, self.arity)  # parse and validate eagerly
+        _compile(self.components, self.arity)  # build and validate eagerly
 
     def _call(self, fn, xs, what: str):
         try:
@@ -315,7 +310,7 @@ class ExprFunction:
         xs = tuple(float(t) for t in xs)
         if len(xs) != self.arity:
             raise InputError(f"expected {self.arity} arguments, got {len(xs)}")
-        _, values_at = _compile(self.components, self.arity)
+        *_, values_at = _compile(self.components, self.arity)
         try:
             values = values_at(*xs)
             if not any(isinstance(t, complex) or not math.isfinite(t) for t in values):

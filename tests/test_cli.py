@@ -415,6 +415,20 @@ class TestDeriveCommand:
         assert time.perf_counter() - start < 1.0
         assert "exponent" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("component, constant", [
+        ("(-1)**(1/2)", "ImaginaryUnit"),
+        ("1/(x1-x1)", "ComplexInfinity"),
+        ("0**(-1)", "ComplexInfinity"),
+        ("(x1*0)**(-1)", "ComplexInfinity"),
+        ("exp(1)", "Exp1"),
+    ])
+    def test_built_tree_refusal_exits_2_in_one_line(self, tmp_path, capsys, component,
+                                                    constant):
+        query = self._parametric_query(tmp_path, component)
+        assert main(["derive", "--query", query]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and constant in err
+
 
 BAD_ORDERS = (0, 3, 1.5, "2", True, "x", None)
 

@@ -1,5 +1,7 @@
-"""Expression functions: gate, parsing, evaluation, symbolic Jacobian."""
+"""Expression functions: gate, tree building, printing, evaluation, symbolic
+Jacobian."""
 
+import inspect
 import math
 import sys
 import time
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratcalc import ExprFunction, InputError, NumericError
-from stratcalc.exprfn import _component_evals, _gate, _jacobian, _parse
+from stratcalc.exprfn import _build, _component_evals, _gate, _jacobian, _source
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402  (the benchmark's expression templates)
@@ -177,15 +179,28 @@ GATE_REJECTS = [
 
 
 def _parses_as_sympify(source, arity):
+    """The tree built from the gate's AST is sympify's, node for node."""
     xs = sympy.symbols(f"x1:{arity + 1}")
     expected = sympy.sympify(source, locals={s.name: s for s in xs}, rational=True)
-    assert _parse(source, xs) == expected
+    assert sympy.srepr(_build(*_gate(source, arity), xs)) == sympy.srepr(expected)
+
+
+def _prints_as_lambdify(sources, arity):
+    """The source compiled for the tuple, for each component and for each
+    Jacobian entry is lambdify's, up to the function name."""
+    xs = sympy.symbols(f"x1:{arity + 1}")
+    exprs = tuple(_build(*_gate(source, arity), xs) for source in sources)
+    bodies = [exprs, *exprs, *(sympy.diff(e, x) for e in exprs for x in xs)]
+    for body in bodies:
+        expected = inspect.getsource(sympy.lambdify(xs, body, modules="math"))
+        assert _source(xs, body)[0] == expected.replace("_lambdifygenerated", "f", 1)
 
 
 @pytest.mark.parametrize("source", GATE_ACCEPTS)
 def test_gate_accepts(source):
     ExprFunction(1, (source,))
     _parses_as_sympify(source, 1)
+    _prints_as_lambdify((source,), 1)
 
 
 @pytest.mark.parametrize("source", GATE_REJECTS)
@@ -207,3 +222,49 @@ def test_benchmark_templates_pass_the_gate(shape, constants, arity):
     source = gen.render(gen._term(Random(shape), Random(constants), arity))
     _gate(source, arity)
     _parses_as_sympify(source, arity)
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 2**32), st.integers(0, 2**32)), min_size=1, max_size=4),
+    st.integers(1, 4),
+    st.lists(st.sampled_from(GATE_ACCEPTS), max_size=2),
+)
+@settings(max_examples=100, deadline=None)
+def test_compiled_source_is_lambdifys(seeds, arity, accepted):
+    sources = [gen.render(gen._term(Random(shape), Random(constants), arity))
+               for shape, constants in seeds]
+    _prints_as_lambdify((*sources, *accepted), arity)
+
+
+@pytest.mark.parametrize("source, constant", [
+    ("(-1)**(1/2)", "ImaginaryUnit"),
+    ("x1 + (-1)**(1/2)", "ImaginaryUnit"),
+    ("1/(x1-x1)", "ComplexInfinity"),
+    ("0**(-1)", "ComplexInfinity"),
+    ("(x1*0)**(-1)", "ComplexInfinity"),
+    ("exp(1)", "Exp1"),
+])
+def test_built_tree_refusals_name_the_constant(source, constant):
+    start = time.perf_counter()
+    with pytest.raises(InputError, match=constant):
+        ExprFunction(1, (source,))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_no_second_compile_path(monkeypatch):
+    """Building and evaluating never reaches parse_expr or lambdify."""
+    import sympy.parsing.sympy_parser
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("second compile path")
+
+    monkeypatch.setattr(sympy, "lambdify", refuse)
+    # sympy.utilities.lambdify, the attribute, is the function; this is the module
+    monkeypatch.setattr(sys.modules["sympy.utilities.lambdify"], "lambdify", refuse)
+    monkeypatch.setattr(sympy.parsing.sympy_parser, "parse_expr", refuse)
+    # components no other test builds, so that no cache answers
+    f = ExprFunction(2, ("x1*x2 - 3/7*x1**(5/3)", "1/x1 + sin(x2)"))
+    assert f.evaluate((1.0, 0.0)) == (-3 / 7, 1.0)
+    assert f.jacobian((1.0, 0.0)) == ((-5 / 7, 1.0), (-1.0, 1.0))
+    with pytest.raises(NumericError, match="component 1"):
+        f.evaluate((0.0, 0.0))
