@@ -23,10 +23,10 @@ from .errors import (
     UnsupportedPrecisionError,
     ValidationError,
 )
-from .refine import coarsening_from_refined, refined_poset
+from .refine import _coarsening, refined_poset
 from .spaces import PointMap
 from .squares import alt_induce_g, check_square, induce_g
-from .stratify import Cover, standard_stratification
+from .stratify import Cover, quotient_poset, standard_stratification
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -73,12 +73,9 @@ def cmd_limit(args) -> int:
     if args.witness:
         witnesses = []
         full = space.full
-        trivial = Cover(space, (full,))
-        witnesses.append((trivial, coarsening_from_refined(space, trivial)))
-        for u in space.opens_sorted():
-            if u and u != full:
-                cover = Cover(space, (u, full))
-                witnesses.append((cover, coarsening_from_refined(space, cover)))
+        for members in [(full,)] + [(u, full) for u in space.opens_sorted() if u and u != full]:
+            cover = Cover(space, members)
+            witnesses.append((cover, _coarsening(quotient, quotient_poset(space, cover))))
     _emit(args, documents.dump_refined(quotient, witnesses))
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:

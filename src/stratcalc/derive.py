@@ -47,6 +47,8 @@ from .stratify import Stratification
 
 DEFAULT_TOL = 1e-9
 MAX_STEPS = 41
+PROBE_EPS = 1e-5
+PROBE_TOL = 1e-2
 DIVERGENCE_LIMIT = 1e15
 SECOND_ORDER_STEPS = 13  # b = 2^0 .. 2^-12
 SECOND_ORDER_TOL = 1e-3
@@ -348,27 +350,21 @@ def derive(
     x,
     c: ConeCoordinate,
     tol: float = DEFAULT_TOL,
-    max_steps: int = MAX_STEPS,
-    probe_eps: float = 1e-5,
-    probe_tol: float = 1e-2,
     probe_count: int = 8,
-    _probing: bool = False,
 ) -> DerivativeReport:
     """Decide derivability at (v, x, c) and report the evidence.
 
     The verdict is derivable when (a) the cone action settles on the
-    piece containing radius 0 within the step budget, (b) the vector part
-    of the conjugate trace is Cauchy with final successive difference
-    below ``tol``, and (c) re-derivations at ``probe_count`` perturbed
-    inputs stay within ``probe_tol`` of the extrapolated limit with the
-    same discrete data. Evaluation failures at the queried point raise;
-    evaluation failures at probe points downgrade the verdict, since the
-    extension cannot be continuous where the map stops being defined.
+    piece containing radius 0 within ``MAX_STEPS`` steps, (b) the vector
+    part of the conjugate trace is Cauchy with final successive difference
+    below ``tol``, and (c) re-derivations at ``probe_count`` inputs moved
+    by ``PROBE_EPS`` stay within ``PROBE_TOL`` of the extrapolated limit
+    with the same discrete data. Evaluation failures at the queried point
+    raise; evaluation failures at probe points downgrade the verdict, since
+    the extension cannot be continuous where the map stops being defined.
     """
     if tol <= 0:
         raise InputError("tolerance must be positive")
-    if max_steps < 3:
-        raise InputError("at least three steps are needed for extrapolation")
     v = tuple(float(t) for t in v)
     x = tuple(float(t) for t in x)
     if len(v) != spec.arity or len(x) != spec.arity:
@@ -383,7 +379,7 @@ def derive(
     converged = False
     failure: str | None = None
     prev_w: tuple[float, ...] | None = None
-    for step in range(max_steps):
+    for step in range(MAX_STEPS):
         a = 2.0 ** (-step)
         w, cone, piece = conjugate_at(a)
         trace.append(TraceEntry(a, w, cone, piece, spec.target_class(cone.z)))
@@ -427,15 +423,12 @@ def derive(
         value = TangentValue(limit, fx, cone_limit)
 
     probes: list[ProbeResult] = []
-    if converged and not _probing and probe_count > 0:
-        for off_x, off_v in _probe_offsets(spec.arity, probe_count, probe_eps):
+    if converged and probe_count > 0:
+        for off_x, off_v in _probe_offsets(spec.arity, probe_count, PROBE_EPS):
             px = tuple(a + b for a, b in zip(x, off_x))
             pv = tuple(a + b for a, b in zip(v, off_v))
             try:
-                sub = derive(
-                    spec, pv, px, c, tol=tol, max_steps=max_steps,
-                    probe_count=0, _probing=True,
-                )
+                sub = derive(spec, pv, px, c, tol=tol, probe_count=0)
             except NumericError as exc:
                 probes.append(
                     ProbeResult(off_x, off_v, False, f"evaluation failed: {exc}")
@@ -457,7 +450,7 @@ def derive(
                 _sup_diff(sub.value.w, value.w),
                 _sup_diff(sub.value.fx, value.fx),
             )
-            if gap > probe_tol:
+            if gap > PROBE_TOL:
                 probes.append(
                     ProbeResult(off_x, off_v, False, f"value jumped by {gap:.3e}")
                 )
@@ -506,12 +499,11 @@ def closed_form_parametric(spec: ConicalMapSpec, v, x, c: ConeCoordinate) -> Tan
 class DerivativeAtPoint:
     """The fiberwise map (v, c) -> (vector part, cone part) at fixed x."""
 
-    def __init__(self, spec: ConicalMapSpec, x, tol: float = DEFAULT_TOL, **options):
+    def __init__(self, spec: ConicalMapSpec, x, tol: float = DEFAULT_TOL):
         self.spec = spec
         self.x = tuple(float(t) for t in x)
         self.tol = tol
-        self.options = options
-        probe = derive(spec, (0.0,) * spec.arity, self.x, CONE_APEX, tol=tol, **options)
+        probe = derive(spec, (0.0,) * spec.arity, self.x, CONE_APEX, tol=tol)
         if not probe.derivable:
             raise StructuralError(
                 f"map is not derivable at {self.x}: {probe.failure}"
@@ -519,7 +511,7 @@ class DerivativeAtPoint:
         self.fx = probe.value.fx
 
     def __call__(self, v, c: ConeCoordinate):
-        report = derive(self.spec, v, self.x, c, tol=self.tol, **self.options)
+        report = derive(self.spec, v, self.x, c, tol=self.tol)
         if not report.derivable:
             raise StructuralError(
                 f"map is not derivable at {self.x} in direction {tuple(v)}: "
@@ -528,8 +520,8 @@ class DerivativeAtPoint:
         return report.value.w, report.value.cone
 
 
-def d_at_point(spec: ConicalMapSpec, x, tol: float = DEFAULT_TOL, **options) -> DerivativeAtPoint:
-    return DerivativeAtPoint(spec, x, tol, **options)
+def d_at_point(spec: ConicalMapSpec, x, tol: float = DEFAULT_TOL) -> DerivativeAtPoint:
+    return DerivativeAtPoint(spec, x, tol)
 
 
 @dataclass(frozen=True)

@@ -68,8 +68,14 @@ def coarsening_surjection(pair: RefinementPair) -> ClassMap:
     surjectivity, and monotonicity are theorems at this finiteness; they
     are verified anyway and any failure is an internal error.
     """
-    fine_q = quotient_poset(pair.fine.space, pair.fine)
-    coarse_q = quotient_poset(pair.coarse.space, pair.coarse)
+    return _coarsening(
+        quotient_poset(pair.fine.space, pair.fine),
+        quotient_poset(pair.coarse.space, pair.coarse),
+    )
+
+
+def _coarsening(fine_q: QuotientPoset, coarse_q: QuotientPoset) -> ClassMap:
+    """The verified coarsening surjection between the quotients of a refinement pair."""
     mapping = {}
     for cls in fine_q.classes:
         images = {coarse_q.class_of(p) for p in cls.members}
@@ -143,4 +149,6 @@ def refined_poset(space: FiniteSpace) -> QuotientPoset:
 
 def coarsening_from_refined(space: FiniteSpace, cover: Cover) -> ClassMap:
     """Surjection from the limit poset onto the given cover's poset."""
-    return coarsening_surjection(RefinementPair(cover, maximal_cover(space)))
+    if cover.space != space:
+        raise InputError("refinement pair must share one space")
+    return _coarsening(refined_poset(space), quotient_poset(space, cover))

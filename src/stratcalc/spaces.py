@@ -6,20 +6,21 @@ serialization order, DOT labels).
 
 A finite topology is the family of up-sets of its specialization
 preorder (Alexandroff), so it is fixed by the minimal open U_x of each
-point x, the intersection of every open that contains x. The public
-``opens`` is the full family of open sets, but the checks run on bit
-masks: point i of the canonical order is bit i, a subset is an ``int``,
-and U_x is the AND of the masks that contain x.
+point x, the intersection of every open that contains x. A space keeps
+its points and its U_x only: point i of the canonical order is bit i, a
+subset is an ``int``, and ``opens``, the union closure of the U_x as
+name sets, is listed on first use.
 
 * A family F holding the empty and the full set is closed under union
   and intersection exactly when u | U_x lies in F for every u in F and
-  every point x. Validation therefore costs O(|F| * n) mask operations
-  and set lookups, not O(|F|^2) pairs.
-* A generated topology is the union closure of its U_x, and the up-sets
-  of a poset are the union closure of its principal up-sets; both are
-  built from the empty set in O(|F| * n). A closure stops as soon as it
-  grows past ``MAX_OPENS``, and explicit families larger than that are
-  refused.
+  every point x, so validating an explicit family costs O(|F| * n) mask
+  operations; the validated family is kept as ``opens``.
+* Generated spaces are built from their U_x, checked to form a preorder
+  in O(n^2). Above 16 points their union closure is taken once and
+  stops as soon as it grows past ``MAX_OPENS``; explicit families larger
+  than that are refused too.
+* A map is continuous exactly when it is monotone for the specialization
+  preorders, which takes O(n^2) bit tests on the U_x.
 * A poset is one up-set mask per element and nothing else: the closure
   is a bitset Warshall pass, validation and the Hasse pairs take O(n^2)
   mask operations, ``le`` is a bit test, and ``leq`` and
@@ -32,8 +33,8 @@ pure, so everything is safe to use concurrently.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from operator import and_, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -41,8 +42,6 @@ from .errors import InputError, InternalInvariantError
 
 MAX_OPENS = 1 << 16
 MAX_ZMOD = 1 << 40
-
-Subset = frozenset
 
 
 def _set_key(s: frozenset) -> tuple:
@@ -128,43 +127,63 @@ def _closure_witness(
     raise InternalInvariantError("closure witness requested for a closed family")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FiniteSpace:
     """A finite set of points together with a topology on them.
 
-    ``opens`` must contain the empty set and the full point set and be
-    closed under pairwise union and intersection. Construction checks
-    all of this through the minimal opens and raises :class:`InputError`
-    naming a failing pair otherwise.
+    Bit j of ``_minimal[i]`` is set when points[j] lies in U_x for
+    x = points[i]. ``FiniteSpace(points, opens)`` takes an explicit
+    family, which must contain the empty and the full set and be closed
+    under pairwise union and intersection; construction checks this
+    through the minimal opens and raises :class:`InputError` naming a
+    failing pair otherwise.
     """
 
     points: tuple[str, ...]
-    opens: frozenset[frozenset[str]]
-    # mask of U_x for x = points[i]
-    _minimal: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _minimal: tuple[int, ...]
 
-    def __post_init__(self):
-        pts = frozenset(self.points)
-        if len(pts) != len(self.points):
+    def __init__(self, points: Sequence[str], opens: Iterable[frozenset[str]]):
+        opens = frozenset(opens)
+        pts = frozenset(points)
+        if len(pts) != len(points):
             raise InputError("duplicate point identifiers")
-        points = tuple(sorted(self.points))
-        object.__setattr__(self, "points", points)
-        if len(self.opens) > MAX_OPENS:
-            raise InputError(
-                f"topology has {len(self.opens)} opens; limit is {MAX_OPENS}"
-            )
-        if not all(u <= pts for u in self.opens):
-            u = min((u for u in self.opens if not u <= pts), key=_set_key)
+        points = tuple(sorted(points))
+        if len(opens) > MAX_OPENS:
+            raise InputError(f"topology has {len(opens)} opens; limit is {MAX_OPENS}")
+        if not all(u <= pts for u in opens):
+            u = min((u for u in opens if not u <= pts), key=_set_key)
             raise InputError(f"open set {sorted(u)} contains unknown points")
-        if frozenset() not in self.opens or pts not in self.opens:
+        if frozenset() not in opens or pts not in opens:
             raise InputError("topology must contain the empty set and the full set")
         bit = {p: 1 << i for i, p in enumerate(points)}
-        masks = [sum(map(bit.__getitem__, u)) for u in self.opens]
+        masks = [sum(map(bit.__getitem__, u)) for u in opens]
         family = set(masks)
         minimal = _minimal_opens(masks, len(points))
         if not all(family.issuperset(map(ux.__or__, masks)) for ux in set(minimal)):
             raise InputError(_closure_witness(points, family, minimal))
-        object.__setattr__(self, "_minimal", minimal)
+        self.__dict__.update(points=points, _minimal=minimal, opens=opens)
+
+    @classmethod
+    def _of_minimal(cls, points: tuple[str, ...], minimal: Sequence[int]) -> "FiniteSpace":
+        """Space on canonically ordered ``points`` from U_x masks, which
+        must form a preorder; more than ``MAX_OPENS`` opens are refused."""
+        for i, ux in enumerate(minimal):
+            if not ux >> i & 1 or ux >> len(points) or any(
+                minimal[j] & ~ux for j in _bits(ux)
+            ):
+                raise InternalInvariantError(f"minimal opens are not a preorder at {points[i]}")
+        if 1 << len(points) > MAX_OPENS:
+            _union_closure(minimal)
+        space = object.__new__(cls)
+        space.__dict__.update(points=points, _minimal=tuple(minimal))
+        return space
+
+    @cached_property
+    def opens(self) -> frozenset[frozenset[str]]:
+        """Every open set: the unions of the minimal opens, the empty one included."""
+        return frozenset(
+            frozenset(_names(self.points, m)) for m in _union_closure(self._minimal)
+        )
 
     @property
     def full(self) -> frozenset[str]:
@@ -198,10 +217,7 @@ def generate_topology(points: Iterable[str], basis: Iterable[Iterable[str]]) -> 
         if not b <= full:
             raise InputError(f"basis member {sorted(b)} contains unknown points")
         masks.append(sum(map(bit.__getitem__, b)))
-    family = _union_closure(_minimal_opens(masks, len(points)))
-    return FiniteSpace(
-        points, frozenset(frozenset(_names(points, m)) for m in family)
-    )
+    return FiniteSpace._of_minimal(points, _minimal_opens(masks, len(points)))
 
 
 def discrete_space(points: Iterable[str]) -> FiniteSpace:
@@ -209,15 +225,12 @@ def discrete_space(points: Iterable[str]) -> FiniteSpace:
     points = tuple(sorted(set(points)))
     if len(points) > 16:
         raise InputError("discrete space limited to 16 points")
-    family = [frozenset()]
-    for p in points:
-        family += [s | {p} for s in family]
-    return FiniteSpace(points, frozenset(family))
+    return FiniteSpace._of_minimal(points, [1 << i for i in range(len(points))])
 
 
 def indiscrete_space(points: Iterable[str]) -> FiniteSpace:
     points = tuple(sorted(set(points)))
-    return FiniteSpace(points, frozenset({frozenset(), frozenset(points)}))
+    return FiniteSpace._of_minimal(points, [(1 << len(points)) - 1] * len(points))
 
 
 def spec_zmod(n: int) -> FiniteSpace:
@@ -331,14 +344,9 @@ class Poset:
         )
 
     def up_sets(self) -> list[frozenset[str]]:
-        """Every up-closed subset, in canonical order.
-
-        Computed as all unions of principal up-sets; the count can be
-        exponential in an antichain, so more than ``MAX_OPENS`` are
-        refused and callers bound the element count.
-        """
-        family = _union_closure(self._up)
-        return sorted_sets(frozenset(_names(self.elements, m)) for m in family)
+        """Every up-closed subset, in canonical order: the opens of the
+        up-set topology. More than ``MAX_OPENS`` are refused."""
+        return alexandroff_from_poset(self).opens_sorted()
 
     def covers(self) -> list[tuple[str, str]]:
         """Hasse pairs (a, b): a < b with nothing strictly between, in sorted order.
@@ -360,14 +368,18 @@ class Poset:
     def monotone_counterexample(self, mapping: Mapping[str, str], target: "Poset"):
         """First pair (a, b) of ``sorted(leq)`` whose images are not ordered
         in ``target``, or None."""
-        els = self.elements
-        img = [target._at(mapping[e]) for e in els]
-        ups = target._up + (0,)
-        for i, m in enumerate(self._up):
-            for j in _bits(m):
-                if not ups[img[i]] >> img[j] & 1:
-                    return (els[i], els[j])
-        return None
+        img = [target._at(mapping[e]) for e in self.elements]
+        bad = _order_breach(self._up, img, target._up + (0,))
+        return None if bad is None else (self.elements[bad[0]], self.elements[bad[1]])
+
+
+def _order_breach(up: Sequence[int], img: Sequence[int], target_up: Sequence[int]):
+    """First (i, j) in order with j in ``up[i]`` but img[j] not in ``target_up[img[i]]``."""
+    for i, m in enumerate(up):
+        for j in _bits(m):
+            if not target_up[img[i]] >> img[j] & 1:
+                return (i, j)
+    return None
 
 
 def _relation_masks(elements: tuple[str, ...], pairs, up: list[int]) -> list[int]:
@@ -389,8 +401,7 @@ def _relation_masks(elements: tuple[str, ...], pairs, up: list[int]) -> list[int
 def alexandroff_from_poset(poset: Poset) -> FiniteSpace:
     """Topology whose opens are exactly the up-closed sets of the poset:
     the unions of its principal up-sets, the empty union included."""
-    opens = (frozenset(_names(poset.elements, m)) for m in _union_closure(poset._up))
-    return FiniteSpace(poset.elements, frozenset(opens))
+    return FiniteSpace._of_minimal(poset.elements, poset._up)
 
 
 def specialization_preorder(space: FiniteSpace) -> frozenset[tuple[str, str]]:
@@ -447,12 +458,17 @@ def compose_maps(late: PointMap, early: PointMap) -> PointMap:
 
 
 def continuity_counterexample(m: PointMap):
-    """First codomain open whose preimage is not open, or None."""
-    for u in sorted_sets(m.codomain.opens):
+    """First codomain open whose preimage is not open, or None. The verdict
+    is f(U_x) in U_{f(x)} for every x; only a failure scans the opens."""
+    index = {p: i for i, p in enumerate(m.codomain.points)}
+    img = [index[m.table[p]] for p in m.domain.points]
+    if _order_breach(m.domain._minimal, img, m.codomain._minimal) is None:
+        return None
+    for u in m.codomain.opens_sorted():
         pre = m.preimage(u)
         if pre not in m.domain.opens:
             return (u, pre)
-    return None
+    raise InternalInvariantError("map is not monotone, yet every preimage is open")
 
 
 def check_continuity(m: PointMap) -> bool:

@@ -155,15 +155,13 @@ class InducedSquare:
     g_monotone: bool
 
 
-def _require_space_match(f: PointMap, s1: Stratification, s2: Stratification):
+def _require_continuous(f: PointMap, s1: Stratification, s2: Stratification):
+    """Refuse f unless it maps s1's space continuously into s2's."""
     if set(f.domain.points) != set(s1.space.points):
         raise InputError("map domain does not match the first stratified space")
     if set(f.codomain.points) != set(s2.space.points):
         raise InputError("map codomain does not match the second stratified space")
-
-
-def _require_continuous(m: PointMap):
-    witness = continuity_counterexample(m)
+    witness = continuity_counterexample(PointMap(s1.space, s2.space, f.table))
     if witness is not None:
         raise StructuralError(
             f"map is not continuous: preimage of {sorted(witness[0])} "
@@ -188,28 +186,9 @@ def induce_g(
     flagged, not rejected, since only commutativity is required of a
     square.
     """
-    _require_space_match(f, s1, s2)
-    _require_continuous(PointMap(s1.space, s2.space, f.table))
+    _require_continuous(f, s1, s2)
     sub = choose_representatives(s1, representatives)
-    g = {s1.class_of(r): s2.class_of(f(r)) for r in sub.reps}
-    top = PointMap(sub.topology, s2.second_topology, {r: f(r) for r in sub.reps})
-    square = StratifiedMapSquare(top, g, s1, s2, sub.reps, "restricted")
-    for r in sub.reps:
-        if g[s1.class_of(r)] != s2.class_of(f(r)):
-            raise InternalInvariantError("induced square broken on representatives")
-    full_witness = None
-    for p in s1.space.points:
-        if g[s1.class_of(p)] != s2.class_of(f(p)):
-            full_witness = (p, g[s1.class_of(p)], s2.class_of(f(p)))
-            break
-    monotone = s1.quotient.poset.is_monotone(g, s2.quotient.poset)
-    return InducedSquare(
-        square,
-        sub,
-        commutes_everywhere=full_witness is None,
-        full_witness=full_witness,
-        g_monotone=monotone,
-    )
+    return _induced(f, s1, s2, sub.topology, "restricted", sub)
 
 
 def alt_induce_g(f: PointMap, s2: Stratification) -> InducedSquare:
@@ -220,21 +199,27 @@ def alt_induce_g(f: PointMap, s2: Stratification) -> InducedSquare:
     and commutativity holds everywhere by construction.
     """
     s1 = identity_stratification(f.domain)
-    _require_space_match(f, s1, s2)
-    _require_continuous(PointMap(f.domain, s2.space, f.table))
-    g = {p: s2.class_of(f(p)) for p in f.domain.points}
-    top = PointMap(f.domain, s2.second_topology, f.table)
-    square = StratifiedMapSquare(
-        top, g, s1, s2, f.domain.points, "identity-domain"
-    )
-    for p in f.domain.points:
+    _require_continuous(f, s1, s2)
+    result = _induced(f, s1, s2, f.domain, "identity-domain", None)
+    if not result.commutes_everywhere:
+        raise InternalInvariantError("unrestricted square broken")
+    return result
+
+
+def _induced(
+    f: PointMap, s1: Stratification, s2: Stratification, domain: FiniteSpace,
+    mode: str, sub: RepresentativeSubspace | None,
+) -> InducedSquare:
+    """The square with g = s2 after f on the classes of ``domain``'s points,
+    which meet every class of s1 once; whether it commutes on the rest of
+    the space and whether g is monotone are reported."""
+    g = {s1.class_of(p): s2.class_of(f(p)) for p in domain.points}
+    top = PointMap(domain, s2.second_topology, {p: f(p) for p in domain.points})
+    square = StratifiedMapSquare(top, g, s1, s2, domain.points, mode)
+    full_witness = None
+    for p in s1.space.points:
         if g[s1.class_of(p)] != s2.class_of(f(p)):
-            raise InternalInvariantError("unrestricted square broken")
+            full_witness = (p, g[s1.class_of(p)], s2.class_of(f(p)))
+            break
     monotone = s1.quotient.poset.is_monotone(g, s2.quotient.poset)
-    return InducedSquare(
-        square,
-        None,
-        commutes_everywhere=True,
-        full_witness=None,
-        g_monotone=monotone,
-    )
+    return InducedSquare(square, sub, full_witness is None, full_witness, monotone)

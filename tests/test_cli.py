@@ -126,6 +126,21 @@ class TestLimitCommand:
         assert doc["order"]["hasse"] == []
         assert all(w["monotone"] for w in doc["witnesses"])
 
+    def test_witness_run_builds_the_maximal_cover_once(self, w_docs, tmp_path, monkeypatch):
+        calls = []
+        real = stratcalc.refine.maximal_cover
+
+        def counted(space):
+            calls.append(space)
+            return real(space)
+
+        monkeypatch.setattr(stratcalc.refine, "maximal_cover", counted)
+        space, _ = w_docs
+        out = tmp_path / "limit.json"
+        assert main(["limit", "--space", space, "--out", str(out), "--witness"]) == 0
+        assert len(json.loads(out.read_text())["witnesses"]) == 15
+        assert len(calls) == 1
+
     def test_chain_space(self, tmp_path):
         space = write(
             tmp_path / "chain.json", {"points": ["a", "b"], "poset": [["a", "b"]]}

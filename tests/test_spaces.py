@@ -14,6 +14,7 @@ from stratcalc import (
     Cover,
     FiniteSpace,
     InputError,
+    InternalInvariantError,
     PointMap,
     Poset,
     alexandroff_from_poset,
@@ -26,6 +27,7 @@ from stratcalc import (
     specialization_preorder,
 )
 from stratcalc.selftest import suite_spaces
+from stratcalc.spaces import continuity_counterexample, sorted_sets
 
 
 def powerset(items):
@@ -199,6 +201,13 @@ class TestBounds:
 
     def test_sixteen_point_discrete_space(self):
         space = discrete_space([f"p{i:02d}" for i in range(16)])
+        assert len(space.opens) == 65536
+
+    def test_sixteen_point_discrete_space_builds_without_its_opens(self):
+        points = [f"p{i:02d}" for i in range(16)]
+        start = time.perf_counter()
+        space = discrete_space(points)
+        assert time.perf_counter() - start < 0.05
         assert len(space.opens) == 65536
 
     def test_seventeen_point_discrete_space_refused(self):
@@ -427,6 +436,55 @@ class TestAlexandroff:
     def test_specialization_recovers_order(self):
         poset = Poset.generate("abcd", [("a", "b"), ("b", "c")])
         assert specialization_preorder(alexandroff_from_poset(poset)) == poset.leq
+
+
+class TestMinimalOpens:
+    @given(families())
+    @settings(max_examples=100, deadline=None)
+    def test_generated_space_equals_its_explicit_family(self, case):
+        points, family = case
+        space = generate_topology(points, family)
+        explicit = FiniteSpace(points, space.opens)
+        assert explicit == space
+        assert hash(explicit) == hash(space)
+        assert explicit.opens == space.opens
+
+    @pytest.mark.parametrize(
+        "minimal",
+        [
+            (0b10, 0b10),  # U_a = {b} misses a
+            (0b011, 0b110, 0b100),  # b is in U_a, but U_b = {b, c} is not inside U_a
+            (0b01, 0b110),  # U_b holds a bit past the last point
+        ],
+    )
+    def test_masks_that_are_not_a_preorder_are_internal_errors(self, minimal):
+        points = tuple("abc"[: len(minimal)])
+        with pytest.raises(InternalInvariantError, match="not a preorder"):
+            FiniteSpace._of_minimal(points, minimal)
+
+
+@st.composite
+def point_maps(draw):
+    """Two spaces on at most 6 points and any map between them."""
+    spaces = []
+    for names in ("abcdef", "uvwxyz"):
+        points = names[: draw(st.integers(min_value=1, max_value=6))]
+        spaces.append(generate_topology(points, draw(st.lists(subsets_of(points), max_size=4))))
+    dom, cod = spaces
+    table = {p: draw(st.sampled_from(cod.points)) for p in dom.points}
+    return PointMap(dom, cod, table)
+
+
+class TestContinuityOnMinimalOpens:
+    @given(point_maps())
+    @settings(max_examples=300, deadline=None)
+    def test_verdict_and_witness_match_the_preimages_of_every_open(self, m):
+        failing = [
+            (u, m.preimage(u)) for u in sorted_sets(m.codomain.opens)
+            if m.preimage(u) not in m.domain.opens
+        ]
+        assert check_continuity(m) == (not failing)
+        assert continuity_counterexample(m) == (failing[0] if failing else None)
 
 
 class TestContinuity:
