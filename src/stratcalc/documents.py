@@ -84,6 +84,12 @@ def _require(doc: dict, field: str, kind, where: str):
     return value
 
 
+def _point_sets(members, where: str, field: str) -> list[frozenset[str]]:
+    if not all(isinstance(m, list) and all(isinstance(p, str) for p in m) for m in members):
+        raise InputError(f"{where}: members of {field!r} must be lists of point names")
+    return [frozenset(m) for m in members]
+
+
 def load_space(doc: dict, where: str = "space document") -> FiniteSpace:
     """Space from exactly one topology source.
 
@@ -111,11 +117,11 @@ def load_space(doc: dict, where: str = "space document") -> FiniteSpace:
     if not all(isinstance(p, str) for p in points):
         raise InputError(f"{where}: points must be strings")
     if source == "opens":
-        opens = frozenset(frozenset(u) for u in doc["opens"])
-        return FiniteSpace(tuple(points), opens)
+        return FiniteSpace(tuple(points), _point_sets(doc["opens"], where, "opens"))
     if source == "basis":
-        return generate_topology(points, [frozenset(b) for b in doc["basis"]])
+        return generate_topology(points, _point_sets(doc["basis"], where, "basis"))
     pairs = [(a, b) for a, b in doc["poset"]]
+    _point_sets(doc["poset"], where, "poset")
     poset = Poset.generate(points, pairs)
     return alexandroff_from_poset(poset)
 
@@ -129,7 +135,7 @@ def dump_space(space: FiniteSpace) -> dict:
 
 def load_cover(doc: dict, space: FiniteSpace, where: str = "cover document") -> Cover:
     members = _require(doc, "cover", list, where)
-    return Cover(space, tuple(frozenset(m) for m in members))
+    return Cover(space, tuple(_point_sets(members, where, "cover")))
 
 
 def _quotient_doc(quotient: QuotientPoset) -> dict:

@@ -178,6 +178,12 @@ class FiniteSpace:
         space.__dict__.update(points=points, _minimal=tuple(minimal))
         return space
 
+    def _subspace(self, names: frozenset[str]) -> "FiniteSpace":
+        """The subspace on ``names``: each kept point's U_x cut down to them."""
+        keep = [i for i, p in enumerate(self.points) if p in names]
+        cut = [sum(1 << k for k, j in enumerate(keep) if self._minimal[i] >> j & 1) for i in keep]
+        return FiniteSpace._of_minimal(tuple(self.points[i] for i in keep), cut)
+
     @cached_property
     def opens(self) -> frozenset[frozenset[str]]:
         """Every open set: the unions of the minimal opens, the empty one included."""

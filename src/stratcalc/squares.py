@@ -71,9 +71,7 @@ def choose_representatives(
     hit = {strat.class_of(r) for r in reps}
     if hit != {c.representative for c in classes}:
         raise InternalInvariantError("representatives do not biject onto classes")
-    rset = frozenset(reps)
-    sub_opens = frozenset(u & rset for u in strat.second_topology.opens)
-    topology = FiniteSpace(reps, sub_opens)
+    topology = strat.second_topology._subspace(frozenset(reps))
     return RepresentativeSubspace(strat, reps, topology)
 
 

@@ -707,3 +707,30 @@ def test_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
     lie.write_text('{"dim": 2, "brackets": [[0, 1, [' + "1" * 5000 + ", 0]]]}")
     assert main(["cohomology", "--lie", str(lie)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+MALFORMED_MEMBERS = (
+    ("stratify", "cover", {"cover": [5]}),
+    ("stratify", "cover", {"cover": [[["a"]]]}),
+    ("stratify", "cover", {"cover": [["a", 5]]}),
+    ("stratify", "cover", {"cover": ["ab"]}),
+    ("limit", "poset", {"points": ["a", "b"], "poset": [["a", ["b"]]]}),
+    ("limit", "poset", {"points": ["a", "b"], "poset": ["ab"]}),
+    ("limit", "opens", {"points": ["a", "b"], "opens": [[], "a", ["a", "b"]]}),
+    ("limit", "basis", {"points": ["a", "b"], "basis": ["ab"]}),
+)
+
+
+@pytest.mark.parametrize("command, field, doc", MALFORMED_MEMBERS)
+def test_member_that_is_not_a_list_of_names_exits_2(tmp_path, command, field, doc):
+    space = {"points": ["a", "b"], "opens": [[], ["a"], ["a", "b"]]}
+    if command == "stratify":
+        argv = ["--space", write(tmp_path / "s.json", space),
+                "--cover", write(tmp_path / "c.json", doc)]
+    else:
+        argv = ["--space", write(tmp_path / "s.json", doc)]
+    proc = run_python(["-m", "stratcalc.cli", command, *argv], tmp_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert f"members of {field!r} must be lists of point names" in proc.stderr

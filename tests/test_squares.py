@@ -3,9 +3,12 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratcalc import (
     Cover,
+    FiniteSpace,
     InputError,
     PointMap,
     StructuralError,
@@ -14,6 +17,7 @@ from stratcalc import (
     check_square,
     choose_representatives,
     discrete_space,
+    generate_topology,
     identity_map,
     induce_g,
     indiscrete_space,
@@ -63,6 +67,35 @@ class TestChooseRepresentatives:
             choose_representatives(strat, ("a", "b"))  # both in the same class
         with pytest.raises(InputError):
             choose_representatives(strat, ("a",))
+
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_subspace_is_the_cut_down_family(self, data):
+        points = "abcdef"[: data.draw(st.integers(min_value=1, max_value=6))]
+        subsets = st.frozensets(st.sampled_from(points))
+        space = generate_topology(points, data.draw(st.lists(subsets, max_size=4)))
+        opens = [u for u in space.opens_sorted() if u]
+        members = data.draw(st.lists(st.sampled_from(opens), min_size=1, max_size=5))
+        if frozenset().union(*members) != space.full:
+            members.append(space.full)
+        strat = standard_stratification(space, Cover(space, tuple(members)))
+        reps = tuple(
+            data.draw(st.sampled_from(sorted(c.members))) for c in strat.quotient.classes
+        )
+        sub = choose_representatives(strat, reps)
+        rset = frozenset(reps)
+        expected = FiniteSpace(reps, {u & rset for u in strat.second_topology.opens})
+        assert sub.topology == expected
+        assert sub.topology.opens == expected.opens
+
+    def test_generated_topology_is_never_listed(self):
+        space = w_space()
+        strat = standard_stratification(
+            space, Cover(space, (frozenset("ab"), frozenset("bc"), frozenset("cd")))
+        )
+        induce_g(identity_map(space), strat, strat)
+        assert "opens" not in vars(strat.second_topology)
 
 
 class TestCheckSquare:

@@ -1,13 +1,21 @@
 """Cover signatures, quotient posets, and the standard stratification."""
 
+import hashlib
+import json
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratcalc import (
     Cover,
     InputError,
+    Poset,
     StructuralError,
+    alexandroff_from_poset,
     discrete_space,
     generate_topology,
     h_map,
@@ -21,6 +29,16 @@ from stratcalc import (
     stratum_preimage_formula,
 )
 from stratcalc.selftest import suite_stratify
+from stratcalc.stratify import _verify_continuity
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402
+import worker  # noqa: E402
+
+# sha256 over [op, i, error, doc] of every record of the benchmark's
+# strata round for seed 1, computed before the certificate was decided
+# on the minimal opens
+STRATA_1_SHA256 = "ffd5789fd83168eedb337d269a17274a2783d1cf0e8a4f693afe34af62a51866"
 
 
 def w_space():
@@ -250,3 +268,71 @@ class TestIdentityStratification:
 
 def test_random_suite():
     assert suite_stratify(Random("pytest-stratify"), 40) == 40
+
+
+class TestCertificate:
+    def chain_quotient(self):
+        # the 3-point chain a < b < c quotiented by its nonempty up-sets
+        space = alexandroff_from_poset(Poset.generate("abc", [("a", "b"), ("b", "c")]))
+        return quotient_poset(space, Cover(space, tuple(u for u in space.opens_sorted() if u)))
+
+    def test_wrong_topology_names_the_first_failing_up_set(self):
+        quotient, second = self.chain_quotient(), indiscrete_space("abc")
+        members = {c.representative: c.members for c in quotient.classes}
+        first = next(
+            up for up in quotient.poset.up_sets()
+            if frozenset().union(*(members[r] for r in up)) not in second.opens
+        )
+        with pytest.raises(StructuralError) as info:
+            _verify_continuity(quotient, second)
+        assert info.value.witness == tuple(sorted(first)) == ("b", "c")
+        assert str(info.value) == (
+            "preimage of up-set ['b', 'c'] is not open in the generated topology"
+        )
+
+    def test_class_bound_is_refused_before_continuity(self):
+        # 21 classes and a topology that would fail the continuity test
+        points = [f"q{i:02d}" for i in range(1, 22)]
+        masks = [
+            frozenset(p for i, p in enumerate(points, start=1) if i & (1 << bit))
+            for bit in range(5)
+        ]
+        space = generate_topology(points, masks)
+        quotient = quotient_poset(space, Cover(space, tuple(masks)))
+        with pytest.raises(InputError, match="21 classes exceed the up-set enumeration"):
+            _verify_continuity(quotient, indiscrete_space(points))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_entries_are_the_up_sets_with_their_preimages(self, data):
+        points = "abcdef"[: data.draw(st.integers(min_value=1, max_value=6))]
+        subsets = st.frozensets(st.sampled_from(points))
+        if data.draw(st.booleans()):
+            space = generate_topology(points, data.draw(st.lists(subsets, max_size=4)))
+            opens = [u for u in space.opens_sorted() if u]
+            members = data.draw(st.lists(st.sampled_from(opens), min_size=1, max_size=5))
+            if frozenset().union(*members) != space.full:
+                members.append(space.full)
+            strat = standard_stratification(space, Cover(space, tuple(members)))
+        else:
+            pairs = data.draw(st.lists(st.tuples(st.sampled_from(points),
+                                                 st.sampled_from(points)), max_size=8))
+            poset = Poset.generate(points, [(a, b) for a, b in pairs if a < b])
+            strat = identity_stratification(alexandroff_from_poset(poset))
+        members = {c.representative: c.members for c in strat.quotient.classes}
+        expected = []
+        for up in strat.quotient.poset.up_sets():
+            pre = frozenset().union(*(members[r] for r in up))
+            expected.append((tuple(sorted(up)), pre, pre))
+        assert [
+            (e.up_set, e.preimage, e.witness_open) for e in strat.certificate.entries
+        ] == expected
+
+
+def test_strata_round_documents_are_unchanged():
+    rnd = worker.Round(worker.Tracer(False))
+    worker.run_strata(gen.strata_round(1), rnd)
+    digest = hashlib.sha256()
+    for r in rnd.records:
+        digest.update(json.dumps([r["op"], r["i"], r["error"], r["doc"]], sort_keys=True).encode())
+    assert digest.hexdigest() == STRATA_1_SHA256
