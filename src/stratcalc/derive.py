@@ -43,7 +43,6 @@ from .errors import (
 )
 from .exprfn import ExprFunction
 from .spaces import FiniteSpace, PointMap
-from .stratify import Stratification
 
 DEFAULT_TOL = 1e-9
 MAX_STEPS = 41
@@ -117,9 +116,8 @@ class ConicalMapSpec:
 
     ``kind`` is "obvious" (identity on R^i, one constant table) or
     "parametric" (expression function k, piecewise cone action rho).
-    Optional stratifications of the base spaces let reports name the
-    class of the target cone point; the cone-level class map always sends
-    apex to apex because it is built by the cone functor.
+    The cone-level class map always sends apex to apex because it is
+    built by the cone functor.
     """
 
     kind: str
@@ -128,8 +126,6 @@ class ConicalMapSpec:
     space_y: FiniteSpace
     k: ExprFunction | None
     rho: PiecewiseConeAction
-    strat_x: Stratification | None = None
-    strat_y: Stratification | None = None
 
     def __post_init__(self):
         if self.kind not in ("obvious", "parametric"):
@@ -155,10 +151,6 @@ class ConicalMapSpec:
             bad = set(piece.table.values()) - set(self.space_y.points)
             if bad:
                 raise InputError(f"piece {i} table hits unknown targets {sorted(bad)}")
-        if self.strat_x is not None and self.strat_x.space.points != self.space_x.points:
-            raise InputError("domain stratification does not match the domain space")
-        if self.strat_y is not None and self.strat_y.space.points != self.space_y.points:
-            raise InputError("codomain stratification does not match the codomain space")
 
     def apply_vec(self, u) -> tuple[float, ...]:
         u = tuple(float(t) for t in u)
@@ -176,13 +168,6 @@ class ConicalMapSpec:
     def apply(self, p: ConicalPoint) -> ConicalPoint:
         return ConicalPoint(self.apply_vec(p.x), self.apply_cone(p.c))
 
-    def target_class(self, z: str | None) -> str | None:
-        if z is None:
-            return None
-        if self.strat_y is not None:
-            return self.strat_y.class_of(z)
-        return z
-
 
 def identity_spec(arity: int, space: FiniteSpace) -> ConicalMapSpec:
     table = {p: p for p in space.points}
@@ -198,16 +183,9 @@ def obvious_spec(arity: int, base: PointMap) -> ConicalMapSpec:
 
 
 def parametric_spec(
-    k: ExprFunction,
-    rho: PiecewiseConeAction,
-    space_x: FiniteSpace,
-    space_y: FiniteSpace,
-    strat_x: Stratification | None = None,
-    strat_y: Stratification | None = None,
+    k: ExprFunction, rho: PiecewiseConeAction, space_x: FiniteSpace, space_y: FiniteSpace
 ) -> ConicalMapSpec:
-    return ConicalMapSpec(
-        "parametric", k.arity, space_x, space_y, k, rho, strat_x, strat_y
-    )
+    return ConicalMapSpec("parametric", k.arity, space_x, space_y, k, rho)
 
 
 @dataclass(frozen=True)
@@ -382,7 +360,7 @@ def derive(
     for step in range(MAX_STEPS):
         a = 2.0 ** (-step)
         w, cone, piece = conjugate_at(a)
-        trace.append(TraceEntry(a, w, cone, piece, spec.target_class(cone.z)))
+        trace.append(TraceEntry(a, w, cone, piece, cone.z))
         if any(not math.isfinite(t) for t in w):
             failure = f"non-finite vector part at step {step}"
             break

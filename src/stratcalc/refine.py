@@ -22,7 +22,7 @@ from typing import Mapping
 
 from .errors import InputError, InternalInvariantError
 from .spaces import FiniteSpace, sorted_sets
-from .stratify import Cover, QuotientPoset, quotient_poset
+from .stratify import Cover, QuotientPoset, _t0_quotient, quotient_poset
 
 
 @dataclass(frozen=True)
@@ -143,8 +143,10 @@ def refined_poset(space: FiniteSpace) -> QuotientPoset:
     The refinement order on covers of a finite space is a finite directed
     system with the maximal cover on top, so this poset is the limit of
     the quotients over all covers and does not depend on any cover choice.
+    As the maximal cover generates the space's own topology, this is the T0
+    quotient of the space, read off its U_x, with signatures as labels.
     """
-    return quotient_poset(space, maximal_cover(space))
+    return _t0_quotient(space.points, space._minimal, maximal_cover(space).members)
 
 
 def coarsening_from_refined(space: FiniteSpace, cover: Cover) -> ClassMap:

@@ -47,6 +47,7 @@ from .refine import (
     coarsening_from_refined,
     coarsening_surjection,
     is_refinement,
+    maximal_cover,
     refined_poset,
     representative_section,
 )
@@ -65,6 +66,7 @@ from .stratify import (
     Cover,
     h_map,
     preorder_to_partial_order,
+    quotient_poset,
     standard_stratification,
     stratum_preimage_formula,
 )
@@ -282,9 +284,15 @@ def suite_stratify(rng: Random, cases: int) -> int:
         fibers = {}
         for p in space.points:
             fibers.setdefault(strat.s[p], set()).add(p)
-        for cls in strat.quotient.classes:
+        q = strat.quotient
+        for cls in q.classes:
             _check(fibers[cls.representative] == set(cls.members),
                 "quotient classes disagree with the fibers of s"
+            )
+            a = cls.representative
+            _check(cls.signature == h[a] and cls.members == {x for x in h.points if h[x] == h[a]}
+                and all(q.poset.le(a, r) == (h[a] <= h[r]) for r in q.poset.elements),
+                "quotient disagrees with the h_map grouping"
             )
             formula = stratum_preimage_formula(strat, cls.representative)
             _check(formula == cls.members, "closed-form fiber disagrees")
@@ -325,6 +333,9 @@ def suite_refine(rng: Random, cases: int) -> int:
         _check({limit_map(c.representative) for c in refined_poset(space).classes} == {
             c.representative for c in limit_map.target.classes
         })
+        _check(refined_poset(space) == quotient_poset(space, maximal_cover(space)),
+            "limit poset disagrees with the maximal cover's quotient"
+        )
 
         c1 = rand_cover(rng, space)
         _check(is_refinement(c1, c1), "refinement must be reflexive")

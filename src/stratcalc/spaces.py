@@ -16,9 +16,9 @@ name sets, is listed on first use.
   every point x, so validating an explicit family costs O(|F| * n) mask
   operations; the validated family is kept as ``opens``.
 * Generated spaces are built from their U_x, checked to form a preorder
-  in O(n^2). Above 16 points their union closure is taken once and
-  stops as soon as it grows past ``MAX_OPENS``; explicit families larger
-  than that are refused too.
+  in O(n^2). Above 16 points their union closure is taken once, stops
+  as soon as it grows past ``MAX_OPENS`` and is kept as masks for the
+  first listing of ``opens``; larger explicit families are refused.
 * A map is continuous exactly when it is monotone for the specialization
   preorders, which takes O(n^2) bit tests on the U_x.
 * A poset is one up-set mask per element and nothing else: the closure
@@ -172,10 +172,10 @@ class FiniteSpace:
                 minimal[j] & ~ux for j in _bits(ux)
             ):
                 raise InternalInvariantError(f"minimal opens are not a preorder at {points[i]}")
-        if 1 << len(points) > MAX_OPENS:
-            _union_closure(minimal)
         space = object.__new__(cls)
         space.__dict__.update(points=points, _minimal=tuple(minimal))
+        if 1 << len(points) > MAX_OPENS:
+            space.__dict__["_closure"] = _union_closure(minimal)
         return space
 
     def _subspace(self, names: frozenset[str]) -> "FiniteSpace":
@@ -187,9 +187,8 @@ class FiniteSpace:
     @cached_property
     def opens(self) -> frozenset[frozenset[str]]:
         """Every open set: the unions of the minimal opens, the empty one included."""
-        return frozenset(
-            frozenset(_names(self.points, m)) for m in _union_closure(self._minimal)
-        )
+        closure = self.__dict__.pop("_closure", None) or _union_closure(self._minimal)
+        return frozenset(frozenset(_names(self.points, m)) for m in closure)
 
     @property
     def full(self) -> frozenset[str]:
@@ -215,6 +214,11 @@ def generate_topology(points: Iterable[str], basis: Iterable[Iterable[str]]) -> 
     ``MAX_OPENS`` opens are refused while the closure grows.
     """
     points = tuple(sorted(set(points)))
+    return FiniteSpace._of_minimal(points, _generated_minimal(points, basis))
+
+
+def _generated_minimal(points: tuple[str, ...], basis: Iterable[Iterable[str]]) -> tuple[int, ...]:
+    """U_x masks of the topology that ``basis`` generates on canonically ordered ``points``."""
     full = frozenset(points)
     bit = {p: 1 << i for i, p in enumerate(points)}
     masks = []
@@ -223,7 +227,7 @@ def generate_topology(points: Iterable[str], basis: Iterable[Iterable[str]]) -> 
         if not b <= full:
             raise InputError(f"basis member {sorted(b)} contains unknown points")
         masks.append(sum(map(bit.__getitem__, b)))
-    return FiniteSpace._of_minimal(points, _minimal_opens(masks, len(points)))
+    return _minimal_opens(masks, len(points))
 
 
 def discrete_space(points: Iterable[str]) -> FiniteSpace:

@@ -2,11 +2,14 @@
 
 An open cover assigns each point the set of cover-member indices that
 contain it (its signature). Signature inclusion is a preorder on points;
-its quotient by signature equality is a poset. The quotient map, together
-with the topology generated by the cover, is verified (never assumed) to
-be a continuous surjection onto the quotient carrying the up-set topology.
-Continuity is decided on the minimal opens, as for every point map; the
-certificate lists each up-set with its preimage, and the fiber formula
+its quotient by signature equality is a poset. As y lies in U_x exactly
+when sig(x) is contained in sig(y), that poset is the T0 quotient of the
+topology the cover generates, and it is built from the U_x masks, with
+the signatures as labels. The quotient map, together with that topology,
+is verified (never assumed) to be a continuous surjection onto the
+quotient carrying the up-set topology. Continuity is decided on the
+minimal opens, as for every point map; the certificate lists each up-set
+with its preimage, and the fiber formula
 
     (intersection of the members in the signature)
         minus (union of the members outside it)
@@ -17,13 +20,14 @@ is checked against the actual fiber on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import InputError, InternalInvariantError, StructuralError
 from .spaces import (
     FiniteSpace,
     PointMap,
     Poset,
+    _generated_minimal,
     alexandroff_from_poset,
     continuity_counterexample,
     generate_topology,
@@ -95,8 +99,6 @@ class HSignature:
 
 def h_map(space: FiniteSpace, cover: Cover) -> HSignature:
     """Signature of every point; nonempty for each because covers cover."""
-    if cover.space != space:
-        raise InputError("cover belongs to a different space")
     sig = {
         x: frozenset(t for t, m in enumerate(cover.members) if x in m)
         for x in space.points
@@ -120,7 +122,7 @@ class StratumClass:
 
 @dataclass(frozen=True)
 class QuotientPoset:
-    """Signature-equality classes ordered by signature inclusion.
+    """Classes of points with equal U_x, class x below class y when y is in U_x.
 
     Class identifiers are the canonical representatives: the least member
     in the global point order.
@@ -129,9 +131,6 @@ class QuotientPoset:
     classes: tuple[StratumClass, ...]
     poset: Poset
     point_class: Mapping[str, str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "point_class", dict(self.point_class))
 
     def class_by_id(self, rep: str) -> StratumClass:
         for c in self.classes:
@@ -155,21 +154,32 @@ def _inclusion_order(sigs: list[frozenset[int]]) -> list[int]:
     ]
 
 
-def quotient_poset(space: FiniteSpace, cover: Cover) -> QuotientPoset:
-    h = h_map(space, cover)
-    fibers: dict[frozenset[int], set[str]] = {}
-    for x in space.points:
-        fibers.setdefault(h[x], set()).add(x)
+def _t0_quotient(points: tuple[str, ...], minimal: Sequence[int], members) -> QuotientPoset:
+    """T0 quotient of the U_x masks ``minimal`` on canonically ordered ``points``:
+    points with equal U_x form a class named by its least point, and class x
+    lies below class y when y is in U_x. A class's signature lists the
+    ``members`` holding its representative, or is None without members."""
+    groups: dict[int, list[int]] = {}
+    for i, ux in enumerate(minimal):
+        groups.setdefault(ux, []).append(i)
+    reps = [g[0] for g in groups.values()]
+    up = [sum(1 << k for k, r in enumerate(reps) if ux >> r & 1) for ux in groups]
     classes = tuple(
-        StratumClass(min(members), frozenset(members), sig)
-        for sig, members in sorted(
-            fibers.items(), key=lambda kv: min(kv[1])
-        )
+        StratumClass(points[r], frozenset(points[i] for i in g), None if members is None
+                     else frozenset(t for t, m in enumerate(members) if points[r] in m))
+        for r, g in zip(reps, groups.values())
     )
-    reps = tuple(c.representative for c in classes)
-    poset = Poset._of_masks(reps, _inclusion_order([c.signature for c in classes]))
-    point_class = {x: min(fibers[h[x]]) for x in space.points}
+    poset = Poset._of_masks(tuple(points[r] for r in reps), up)
+    point_class = {x: points[groups[ux][0]] for x, ux in zip(points, minimal)}
     return QuotientPoset(classes, poset, point_class)
+
+
+def quotient_poset(space: FiniteSpace, cover: Cover) -> QuotientPoset:
+    """The cover's signature quotient, read off the U_x the cover generates."""
+    if cover.space != space:
+        raise InputError("cover belongs to a different space")
+    minimal = _generated_minimal(space.points, cover.members)
+    return _t0_quotient(space.points, minimal, cover.members)
 
 
 @dataclass(frozen=True)
@@ -201,17 +211,15 @@ class Stratification:
     space: FiniteSpace
     cover: Cover | None
     quotient: QuotientPoset
-    s: Mapping[str, str]
     second_topology: FiniteSpace
     certificate: ContinuityCertificate
 
-    def __post_init__(self):
-        object.__setattr__(self, "s", dict(self.s))
+    @property
+    def s(self) -> Mapping[str, str]:
+        return self.quotient.point_class
 
     def class_of(self, point: str) -> str:
-        if point not in self.s:
-            raise InputError(f"unknown point {point!r}")
-        return self.s[point]
+        return self.quotient.class_of(point)
 
 
 def _verify_continuity(
@@ -246,13 +254,14 @@ def standard_stratification(space: FiniteSpace, cover: Cover) -> Stratification:
     into the up-set of its class; the certificate lists every up-set of
     the quotient with its preimage, which is its witnessing open.
     """
-    quotient = quotient_poset(space, cover)
+    if cover.space != space:
+        raise InputError("cover belongs to a different space")
     second = generate_topology(space.points, cover.members)
+    quotient = _t0_quotient(space.points, second._minimal, cover.members)
     cert = _verify_continuity(quotient, second)
-    s = dict(quotient.point_class)
-    if set(s.values()) != {c.representative for c in quotient.classes}:
+    if set(quotient.point_class.values()) != {c.representative for c in quotient.classes}:
         raise InternalInvariantError("quotient map is not surjective")
-    return Stratification(space, cover, quotient, s, second, cert)
+    return Stratification(space, cover, quotient, second, cert)
 
 
 def stratum_preimage_formula(strat: Stratification, class_id: str) -> frozenset[str]:
@@ -291,12 +300,12 @@ def preorder_to_partial_order(h: HSignature) -> Poset:
 
 def preorder_from_stratification(strat: Stratification) -> frozenset[tuple[str, str]]:
     """Point preorder pulled back through s from the quotient order."""
-    poset = strat.quotient.poset
+    poset, s = strat.quotient.poset, strat.s
     return frozenset(
         (x, y)
         for x in strat.space.points
         for y in strat.space.points
-        if poset.le(strat.s[x], strat.s[y])
+        if poset.le(s[x], s[y])
     )
 
 
@@ -309,20 +318,14 @@ def identity_stratification(space: FiniteSpace) -> Stratification:
     when no two points share their minimal open, so non-T0 spaces are
     rejected naming the least such pair.
     """
-    minimal = space._minimal
-    if len(set(minimal)) < len(minimal):
-        i = next(i for i, u in enumerate(minimal) if minimal.count(u) > 1)
-        x, y = space.points[i], space.points[minimal.index(minimal[i], i + 1)]
+    quotient = _t0_quotient(space.points, space._minimal, None)
+    shared = next((c for c in quotient.classes if len(c.members) > 1), None)
+    if shared is not None:
+        x, y = sorted(shared.members)[:2]
         raise StructuralError(
             f"identity stratification needs a T0 space; {x} and {y} are "
             f"topologically indistinguishable",
             witness=(x, y),
         )
-    poset = Poset._of_masks(space.points, minimal)
-    classes = tuple(
-        StratumClass(p, frozenset({p}), None) for p in space.points
-    )
-    quotient = QuotientPoset(classes, poset, {p: p for p in space.points})
     cert = _verify_continuity(quotient, space)
-    s = {p: p for p in space.points}
-    return Stratification(space, None, quotient, s, space, cert)
+    return Stratification(space, None, quotient, space, cert)

@@ -1,5 +1,7 @@
 """Refinement of covers and the cover-independent limit poset."""
 
+import hashlib
+import json
 from random import Random
 
 import pytest
@@ -12,12 +14,14 @@ from stratcalc import (
     coarsening_from_refined,
     coarsening_surjection,
     discrete_space,
+    generate_topology,
     is_refinement,
     maximal_cover,
     refined_poset,
     representative_section,
     spec_zmod,
 )
+from stratcalc import documents
 from stratcalc.refine import RefinementPair
 from stratcalc.selftest import suite_refine
 from stratcalc.spaces import Poset
@@ -177,3 +181,30 @@ class TestRefinedPoset:
 
 def test_random_suite():
     assert suite_refine(Random("pytest-refine"), 30) == 30
+
+
+# sha256 of the sorted-key JSON of dump_refined(refined_poset(space), None),
+# computed when the limit was still the maximal cover's signature quotient
+LIMIT_SHA256 = {
+    "chain400": "7c647cf040bfbd5b8162adb709efcd80f006b21f7a92aa5c7cc3ed2d4cca73f9",
+    "discrete12": "b72409b4d8b8a53ef77d3cffc899ea7575952d5c3929686cb1504aeeff0bc394",
+    "basis7": "9024ab1e8a44f5e4a96da25063e12c19e01a2cdb30c13e0591b153e6762ff03f",
+}
+
+
+def limit_spaces():
+    chain = [f"p{i:03d}" for i in range(400)]
+    return {
+        "chain400": alexandroff_from_poset(Poset.generate(chain, list(zip(chain, chain[1:])))),
+        "discrete12": discrete_space([f"q{i:02d}" for i in range(12)]),
+        "basis7": generate_topology(
+            "abcdefg", [set("abc"), set("cde"), set("abcdefg"), set("fg"), set("ab")]
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(LIMIT_SHA256))
+def test_limit_documents_are_unchanged(name):
+    doc = documents.dump_refined(refined_poset(limit_spaces()[name]), None)
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == LIMIT_SHA256[name]

@@ -16,3 +16,18 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert list(SRC.glob("*.py")) and not found, found
+
+
+def test_quotient_posets_are_built_in_one_function():
+    # every QuotientPoset comes from one construction, the T0 quotient
+    # of the minimal opens; a second call site would be a second path
+    builders = {
+        f"{path.name}:{func.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "QuotientPoset"
+    }
+    assert len(builders) == 1, builders

@@ -7,6 +7,7 @@ from itertools import chain, combinations
 from random import Random
 
 import pytest
+import stratcalc.spaces
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -213,6 +214,22 @@ class TestBounds:
     def test_seventeen_point_discrete_space_refused(self):
         with pytest.raises(InputError):
             discrete_space([f"p{i:02d}" for i in range(17)])
+
+    def test_seventeen_point_space_is_closed_under_union_once(self, monkeypatch):
+        # the closure taken for the size guard is the one its opens name
+        calls = []
+        real = stratcalc.spaces._union_closure
+
+        def counted(generators):
+            calls.append(None)
+            return real(generators)
+
+        monkeypatch.setattr(stratcalc.spaces, "_union_closure", counted)
+        points = [f"p{i:02d}" for i in range(17)]
+        space = generate_topology(points, [points[i:] for i in range(17)])
+        assert space.opens == {frozenset(points[i:]) for i in range(18)}
+        assert len(space.opens_sorted()) == 18
+        assert len(calls) == 1
 
 
 class TestGenerateTopology:

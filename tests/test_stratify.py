@@ -7,7 +7,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stratcalc import (
@@ -21,10 +21,12 @@ from stratcalc import (
     h_map,
     identity_stratification,
     indiscrete_space,
+    maximal_cover,
     preorder_from_stratification,
     preorder_leq,
     preorder_to_partial_order,
     quotient_poset,
+    refined_poset,
     standard_stratification,
     stratum_preimage_formula,
 )
@@ -336,3 +338,83 @@ def test_strata_round_documents_are_unchanged():
     for r in rnd.records:
         digest.update(json.dumps([r["op"], r["i"], r["error"], r["doc"]], sort_keys=True).encode())
     assert digest.hexdigest() == STRATA_1_SHA256
+
+
+def brute_quotient(space, cover):
+    """Classes, order and class map grouped from the h_map signatures."""
+    h = h_map(space, cover)
+    fibers = {}
+    for x in space.points:
+        fibers.setdefault(h[x], []).append(x)
+    classes = sorted((min(m), frozenset(m), sig) for sig, m in fibers.items())
+    order = {(a, b) for a, _, sa in classes for b, _, sb in classes if sa <= sb}
+    return classes, order, {x: min(fibers[h[x]]) for x in space.points}
+
+
+def quotient_parts(q):
+    return (
+        [(c.representative, c.members, c.signature) for c in q.classes],
+        q.poset.leq,
+        q.point_class,
+    )
+
+
+@st.composite
+def spaces_and_covers(draw):
+    """A space on at most 7 points, generated from a random basis or a
+    random order, and a cover of it by random nonempty opens."""
+    points = "abcdefg"[: draw(st.integers(min_value=1, max_value=7))]
+    if draw(st.booleans()):
+        basis = draw(st.lists(st.frozensets(st.sampled_from(points)), max_size=4))
+        space = generate_topology(points, basis)
+    else:
+        pair = st.tuples(st.sampled_from(points), st.sampled_from(points))
+        pairs = draw(st.lists(pair, max_size=8))
+        space = alexandroff_from_poset(Poset.generate(points, [(a, b) for a, b in pairs if a < b]))
+    opens = [u for u in space.opens_sorted() if u]
+    members = draw(st.lists(st.sampled_from(opens), min_size=1, max_size=5))
+    if frozenset().union(*members) != space.full:
+        members.append(space.full)
+    return space, Cover(space, tuple(members))
+
+
+class TestT0Quotient:
+    @given(spaces_and_covers())
+    @settings(max_examples=200, deadline=None)
+    def test_every_quotient_matches_the_signature_grouping(self, case):
+        space, cover = case
+        expected = brute_quotient(space, cover)
+        assert quotient_parts(quotient_poset(space, cover)) == expected
+        assert quotient_parts(standard_stratification(space, cover).quotient) == expected
+        limit = brute_quotient(space, maximal_cover(space))
+        assert quotient_parts(refined_poset(space)) == limit
+
+    @given(spaces_and_covers())
+    @settings(max_examples=200, deadline=None)
+    def test_identity_witness_is_the_least_pair_with_equal_minimal_opens(self, case):
+        space, _ = case
+        minimal = {
+            x: frozenset(space.points).intersection(*(u for u in space.opens if x in u))
+            for x in space.points
+        }
+        pairs = [
+            (x, y) for x in space.points for y in space.points
+            if x < y and minimal[x] == minimal[y]
+        ]
+        assume(pairs)
+        x, y = min(pairs)
+        with pytest.raises(StructuralError) as info:
+            identity_stratification(space)
+        assert info.value.witness == (x, y)
+        assert str(info.value) == (
+            f"identity stratification needs a T0 space; {x} and {y} are "
+            f"topologically indistinguishable"
+        )
+
+    def test_cover_of_another_space_is_refused(self):
+        # same points with another topology, and more points
+        for other in (indiscrete_space("abcd"), discrete_space("abcde")):
+            cover = Cover(other, (other.full,))
+            for build in (quotient_poset, standard_stratification):
+                with pytest.raises(InputError, match="^cover belongs to a different space$"):
+                    build(w_space(), cover)
