@@ -89,28 +89,19 @@ def cmd_check_map(args) -> int:
     covers = [documents.read_json(p) for p in args.cover]
     if len(spaces) != 2:
         raise InputError("check-map needs exactly two --space documents")
-    if mapdoc["mode"] == "restricted":
-        if len(covers) != 2:
-            raise InputError("restricted mode needs two --cover documents")
-        s1 = standard_stratification(
-            spaces[0], documents.load_cover(covers[0], spaces[0])
+    restricted = mapdoc["mode"] == "restricted"
+    if restricted and len(covers) != 2:
+        raise InputError("restricted mode needs two --cover documents")
+    if not restricted and len(covers) != 1:
+        raise InputError(
+            "identity-stratification mode needs one --cover document (for the codomain)"
         )
-        s2 = standard_stratification(
-            spaces[1], documents.load_cover(covers[1], spaces[1])
-        )
-        f = PointMap(spaces[0], spaces[1], mapdoc["table"])
-        result = induce_g(f, s1, s2, mapdoc["representatives"])
-    else:
-        if len(covers) != 1:
-            raise InputError(
-                "identity-stratification mode needs one --cover document "
-                "(for the codomain)"
-            )
-        s2 = standard_stratification(
-            spaces[1], documents.load_cover(covers[0], spaces[1])
-        )
-        f = PointMap(spaces[0], spaces[1], mapdoc["table"])
-        result = alt_induce_g(f, s2)
+    if restricted:
+        s1 = standard_stratification(spaces[0], documents.load_cover(covers[0], spaces[0]))
+    # the codomain's cover is the last one in either mode
+    s2 = standard_stratification(spaces[1], documents.load_cover(covers[-1], spaces[1]))
+    f = PointMap(spaces[0], spaces[1], mapdoc["table"])
+    result = induce_g(f, s1, s2, mapdoc["representatives"]) if restricted else alt_induce_g(f, s2)
     certificate = check_square(result.square)
     doc = documents.dump_square(result, certificate)
     _emit(args, doc)

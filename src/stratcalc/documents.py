@@ -108,14 +108,16 @@ def load_space(doc: dict, where: str = "space document") -> FiniteSpace:
         )
     source = sources[0]
     if source == "spec_zmod":
-        n = _require(doc, "spec_zmod", int, where)
-        space = spec_zmod(n)
-        if "points" in doc and tuple(sorted(doc["points"])) != space.points:
-            raise InputError(f"{where}: points disagree with the prime divisors")
-        return space
+        space = spec_zmod(_require(doc, "spec_zmod", int, where))
+        if "points" not in doc:
+            return space
     points = _require(doc, "points", list, where)
     if not all(isinstance(p, str) for p in points):
         raise InputError(f"{where}: points must be strings")
+    if source == "spec_zmod":
+        if tuple(sorted(points)) != space.points:
+            raise InputError(f"{where}: points disagree with the prime divisors")
+        return space
     if source == "opens":
         return FiniteSpace(tuple(points), _point_sets(doc["opens"], where, "opens"))
     if source == "basis":
@@ -201,6 +203,8 @@ def load_map_document(doc: dict, where: str = "map document") -> dict:
         if not (isinstance(item, list) and len(item) == 2):
             raise InputError(f"{where}: entries of f must be [from, to] pairs")
         src, dst = item
+        if not (isinstance(src, str) and isinstance(dst, str)):
+            raise InputError(f"{where}: entries of f must pair two point names")
         if src in table and table[src] != dst:
             raise InputError(f"{where}: conflicting images for point {src!r}")
         table[src] = dst
@@ -209,6 +213,8 @@ def load_map_document(doc: dict, where: str = "map document") -> dict:
         raise InputError(f"{where}: unknown mode {mode!r}")
     reps = doc.get("representatives")
     if reps is not None:
+        if not (isinstance(reps, list) and all(isinstance(r, str) for r in reps)):
+            raise InputError(f"{where}: representatives must be a list of point names")
         reps = tuple(reps)
     return {"table": table, "mode": mode, "representatives": reps}
 
@@ -254,7 +260,7 @@ def load_cone(doc, space: FiniteSpace, where: str) -> ConeCoordinate:
 
 
 def load_spec(doc: dict, where: str = "query spec") -> ConicalMapSpec:
-    from .derive import ConicalMapSpec, Piece, PiecewiseConeAction, constant_action
+    from .derive import Piece, PiecewiseConeAction, obvious_spec, parametric_spec
     from .exprfn import ExprFunction
 
     kind = _require(doc, "kind", str, where)
@@ -270,11 +276,7 @@ def load_spec(doc: dict, where: str = "query spec") -> ConicalMapSpec:
             table = {src: dst for src, dst in doc["base_map"]}
         else:
             table = {p: p for p in space_x.points}
-        base = PointMap(space_x, space_y, table)
-        return ConicalMapSpec(
-            "obvious", arity, space_x, space_y, None,
-            constant_action(dict(base.table)),
-        )
+        return obvious_spec(arity, PointMap(space_x, space_y, table))
     if kind != "parametric":
         raise InputError(f"{where}: unknown kind {kind!r}")
     components = _require(doc, "k", list, where)
@@ -288,7 +290,7 @@ def load_spec(doc: dict, where: str = "query spec") -> ConicalMapSpec:
         pieces.append(Piece(lo, None if hi is None else float(hi), dict(table)))
         lo = float(hi) if hi is not None else lo
     rho = PiecewiseConeAction(tuple(pieces))
-    return ConicalMapSpec("parametric", k.arity, space_x, space_y, k, rho)
+    return parametric_spec(k, rho, space_x, space_y)
 
 
 def load_query(doc: dict, default_tol: float) -> dict:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import InputError, InternalInvariantError
-from .spaces import FiniteSpace, sorted_sets
+from .spaces import FiniteSpace, _names
 from .stratify import Cover, QuotientPoset, _t0_quotient, quotient_poset
 
 
@@ -133,8 +133,8 @@ def maximal_cover(space: FiniteSpace) -> Cover:
     """The top of the refinement order: all nonempty opens, in canonical order."""
     if not space.points:
         raise InputError("nonempty space required")
-    members = tuple(u for u in sorted_sets(space.opens) if u)
-    return Cover(space, members)
+    named = sorted(_names(space.points, m) for m in space._open_masks if m)
+    return Cover(space, tuple(map(frozenset, named)))
 
 
 def refined_poset(space: FiniteSpace) -> QuotientPoset:
@@ -146,7 +146,7 @@ def refined_poset(space: FiniteSpace) -> QuotientPoset:
     As the maximal cover generates the space's own topology, this is the T0
     quotient of the space, read off its U_x, with signatures as labels.
     """
-    return _t0_quotient(space.points, space._minimal, maximal_cover(space).members)
+    return _t0_quotient(space.points, space._minimal, maximal_cover(space)._masks)
 
 
 def coarsening_from_refined(space: FiniteSpace, cover: Cover) -> ClassMap:

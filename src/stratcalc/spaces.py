@@ -6,19 +6,20 @@ serialization order, DOT labels).
 
 A finite topology is the family of up-sets of its specialization
 preorder (Alexandroff), so it is fixed by the minimal open U_x of each
-point x, the intersection of every open that contains x. A space keeps
-its points and its U_x only: point i of the canonical order is bit i, a
-subset is an ``int``, and ``opens``, the union closure of the U_x as
-name sets, is listed on first use.
+point x, the intersection of every open that contains x. Point i of the
+canonical order is bit i and a subset is an ``int``; a space keeps its
+points, its U_x and its opens as one set of masks, which ``opens`` names
+on first use. Since ``points`` is sorted, the canonical order of opens is
+the order of their bit-index tuples.
 
 * A family F holding the empty and the full set is closed under union
   and intersection exactly when u | U_x lies in F for every u in F and
   every point x, so validating an explicit family costs O(|F| * n) mask
-  operations; the validated family is kept as ``opens``.
+  operations; the validated family is kept.
 * Generated spaces are built from their U_x, checked to form a preorder
-  in O(n^2). Above 16 points their union closure is taken once, stops
-  as soon as it grows past ``MAX_OPENS`` and is kept as masks for the
-  first listing of ``opens``; larger explicit families are refused.
+  in O(n^2). Their union closure is taken on first use, or at once above
+  16 points, where it stops as soon as it grows past ``MAX_OPENS``;
+  larger explicit families are refused.
 * A map is continuous exactly when it is monotone for the specialization
   preorders, which takes O(n^2) bit tests on the U_x.
 * A poset is one up-set mask per element and nothing else: the closure
@@ -66,6 +67,11 @@ def _names(points: tuple[str, ...], mask: int) -> list[str]:
     return [points[i] for i in _bits(mask)]
 
 
+def _mask_key(mask: int) -> tuple[int, ...]:
+    """Sort key of a mask that orders sets as :func:`sorted_sets` does."""
+    return tuple(_bits(mask))
+
+
 def _minimal_opens(masks: list[int], n: int) -> tuple[int, ...]:
     """U_x for each of the ``n`` bits: the AND of the full set and every mask holding x."""
     full = (1 << n) - 1
@@ -106,7 +112,7 @@ def _closure_witness(
     intersected one by one in canonical order: the running intersection
     starts in the family and ends at U_x outside it, so one step leaves.
     """
-    ordered = sorted(family, key=lambda m: _names(points, m))
+    ordered = sorted(family, key=_mask_key)
     for u in ordered:
         for x, ux in enumerate(minimal):
             if u | ux in family:
@@ -132,11 +138,11 @@ class FiniteSpace:
     """A finite set of points together with a topology on them.
 
     Bit j of ``_minimal[i]`` is set when points[j] lies in U_x for
-    x = points[i]. ``FiniteSpace(points, opens)`` takes an explicit
-    family, which must contain the empty and the full set and be closed
-    under pairwise union and intersection; construction checks this
-    through the minimal opens and raises :class:`InputError` naming a
-    failing pair otherwise.
+    x = points[i], and ``_open_masks`` holds every open. The explicit
+    family of ``FiniteSpace(points, opens)`` must hold the empty and the
+    full set and be closed under pairwise union and intersection;
+    construction checks this through the minimal opens and raises
+    :class:`InputError` naming a failing pair otherwise.
     """
 
     points: tuple[str, ...]
@@ -161,7 +167,7 @@ class FiniteSpace:
         minimal = _minimal_opens(masks, len(points))
         if not all(family.issuperset(map(ux.__or__, masks)) for ux in set(minimal)):
             raise InputError(_closure_witness(points, family, minimal))
-        self.__dict__.update(points=points, _minimal=minimal, opens=opens)
+        self.__dict__.update(points=points, _minimal=minimal, _open_masks=frozenset(family))
 
     @classmethod
     def _of_minimal(cls, points: tuple[str, ...], minimal: Sequence[int]) -> "FiniteSpace":
@@ -175,7 +181,7 @@ class FiniteSpace:
         space = object.__new__(cls)
         space.__dict__.update(points=points, _minimal=tuple(minimal))
         if 1 << len(points) > MAX_OPENS:
-            space.__dict__["_closure"] = _union_closure(minimal)
+            space.__dict__["_open_masks"] = frozenset(_union_closure(minimal))
         return space
 
     def _subspace(self, names: frozenset[str]) -> "FiniteSpace":
@@ -185,10 +191,14 @@ class FiniteSpace:
         return FiniteSpace._of_minimal(tuple(self.points[i] for i in keep), cut)
 
     @cached_property
+    def _open_masks(self) -> frozenset[int]:
+        """Every open as a mask: the unions of the minimal opens, the empty one included."""
+        return frozenset(_union_closure(self._minimal))
+
+    @cached_property
     def opens(self) -> frozenset[frozenset[str]]:
-        """Every open set: the unions of the minimal opens, the empty one included."""
-        closure = self.__dict__.pop("_closure", None) or _union_closure(self._minimal)
-        return frozenset(frozenset(_names(self.points, m)) for m in closure)
+        """Every open set, named."""
+        return frozenset(frozenset(_names(self.points, m)) for m in self._open_masks)
 
     @property
     def full(self) -> frozenset[str]:
@@ -214,11 +224,6 @@ def generate_topology(points: Iterable[str], basis: Iterable[Iterable[str]]) -> 
     ``MAX_OPENS`` opens are refused while the closure grows.
     """
     points = tuple(sorted(set(points)))
-    return FiniteSpace._of_minimal(points, _generated_minimal(points, basis))
-
-
-def _generated_minimal(points: tuple[str, ...], basis: Iterable[Iterable[str]]) -> tuple[int, ...]:
-    """U_x masks of the topology that ``basis`` generates on canonically ordered ``points``."""
     full = frozenset(points)
     bit = {p: 1 << i for i, p in enumerate(points)}
     masks = []
@@ -227,7 +232,7 @@ def _generated_minimal(points: tuple[str, ...], basis: Iterable[Iterable[str]]) 
         if not b <= full:
             raise InputError(f"basis member {sorted(b)} contains unknown points")
         masks.append(sum(map(bit.__getitem__, b)))
-    return _minimal_opens(masks, len(points))
+    return FiniteSpace._of_minimal(points, _minimal_opens(masks, len(points)))
 
 
 def discrete_space(points: Iterable[str]) -> FiniteSpace:
@@ -474,10 +479,10 @@ def continuity_counterexample(m: PointMap):
     img = [index[m.table[p]] for p in m.domain.points]
     if _order_breach(m.domain._minimal, img, m.codomain._minimal) is None:
         return None
-    for u in m.codomain.opens_sorted():
-        pre = m.preimage(u)
-        if pre not in m.domain.opens:
-            return (u, pre)
+    for u in sorted(m.codomain._open_masks, key=_mask_key):
+        pre = sum(1 << i for i, j in enumerate(img) if u >> j & 1)
+        if pre not in m.domain._open_masks:
+            return frozenset(_names(m.codomain.points, u)), frozenset(_names(m.domain.points, pre))
     raise InternalInvariantError("map is not monotone, yet every preimage is open")
 
 

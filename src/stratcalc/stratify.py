@@ -4,12 +4,12 @@ An open cover assigns each point the set of cover-member indices that
 contain it (its signature). Signature inclusion is a preorder on points;
 its quotient by signature equality is a poset. As y lies in U_x exactly
 when sig(x) is contained in sig(y), that poset is the T0 quotient of the
-topology the cover generates, and it is built from the U_x masks, with
-the signatures as labels. The quotient map, together with that topology,
-is verified (never assumed) to be a continuous surjection onto the
-quotient carrying the up-set topology. Continuity is decided on the
-minimal opens, as for every point map; the certificate lists each up-set
-with its preimage, and the fiber formula
+topology the cover generates, built from the member and U_x masks, with
+the signatures as labels; names are made only for the result fields. The
+quotient map, with that topology, is verified (never assumed) to be a
+continuous surjection onto the quotient's up-set topology, decided on the
+minimal opens as for every point map. The certificate listing each up-set
+with its preimage is built on first use, and the fiber formula
 
     (intersection of the members in the signature)
         minus (union of the members outside it)
@@ -19,7 +19,9 @@ is checked against the actual fiber on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from operator import and_, or_
 from typing import Mapping, Sequence
 
 from .errors import InputError, InternalInvariantError, StructuralError
@@ -27,10 +29,12 @@ from .spaces import (
     FiniteSpace,
     PointMap,
     Poset,
-    _generated_minimal,
+    _bits,
+    _mask_key,
+    _minimal_opens,
+    _names,
     alexandroff_from_poset,
     continuity_counterexample,
-    generate_topology,
     sorted_sets,
 )
 
@@ -43,34 +47,35 @@ class Cover:
 
     Openness is judged in the space's own (first) topology; the topology
     the cover generates is a separate, usually coarser, second topology.
+    ``_masks`` holds the members as point masks of the space.
     """
 
     space: FiniteSpace
     members: tuple[frozenset[str], ...]
+    _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         members = tuple(frozenset(m) for m in self.members)
         object.__setattr__(self, "members", members)
         if not members:
             raise InputError("cover needs at least one member")
-        for i, m in enumerate(members):
+        bit = {p: 1 << i for i, p in enumerate(self.space.points)}
+        object.__setattr__(self, "_masks", tuple(sum(bit.get(p, 0) for p in m) for m in members))
+        for i, (m, mask) in enumerate(zip(members, self._masks)):
             if not m:
                 raise InputError(f"cover member {i} is empty")
-            if m not in self.space.opens:
+            if mask.bit_count() != len(m) or mask not in self.space._open_masks:
                 raise InputError(
                     f"cover member {i} = {sorted(m)} is not open in the space"
                 )
-        union = frozenset().union(*members)
-        if union != self.space.full:
-            missing = self.space.full - union
-            raise InputError(f"cover misses points {sorted(missing)}")
+        missing = (1 << len(self.space.points)) - 1 & ~reduce(or_, self._masks)
+        if missing:
+            raise InputError(f"cover misses points {_names(self.space.points, missing)}")
 
     @property
     def max_signature_size(self) -> int:
         """sup over points of the signature size; always finite here."""
-        return max(
-            sum(1 for m in self.members if x in m) for x in self.space.points
-        )
+        return max(sum(m >> i & 1 for m in self._masks) for i in range(len(self.space.points)))
 
 
 @dataclass(frozen=True)
@@ -154,19 +159,19 @@ def _inclusion_order(sigs: list[frozenset[int]]) -> list[int]:
     ]
 
 
-def _t0_quotient(points: tuple[str, ...], minimal: Sequence[int], members) -> QuotientPoset:
+def _t0_quotient(points: tuple[str, ...], minimal: Sequence[int], masks) -> QuotientPoset:
     """T0 quotient of the U_x masks ``minimal`` on canonically ordered ``points``:
     points with equal U_x form a class named by its least point, and class x
     lies below class y when y is in U_x. A class's signature lists the
-    ``members`` holding its representative, or is None without members."""
+    member ``masks`` holding its representative, or is None without masks."""
     groups: dict[int, list[int]] = {}
     for i, ux in enumerate(minimal):
         groups.setdefault(ux, []).append(i)
     reps = [g[0] for g in groups.values()]
     up = [sum(1 << k for k, r in enumerate(reps) if ux >> r & 1) for ux in groups]
     classes = tuple(
-        StratumClass(points[r], frozenset(points[i] for i in g), None if members is None
-                     else frozenset(t for t, m in enumerate(members) if points[r] in m))
+        StratumClass(points[r], frozenset(points[i] for i in g), None if masks is None
+                     else frozenset(t for t, m in enumerate(masks) if m >> r & 1))
         for r, g in zip(reps, groups.values())
     )
     poset = Poset._of_masks(tuple(points[r] for r in reps), up)
@@ -178,8 +183,7 @@ def quotient_poset(space: FiniteSpace, cover: Cover) -> QuotientPoset:
     """The cover's signature quotient, read off the U_x the cover generates."""
     if cover.space != space:
         raise InputError("cover belongs to a different space")
-    minimal = _generated_minimal(space.points, cover.members)
-    return _t0_quotient(space.points, minimal, cover.members)
+    return _t0_quotient(space.points, _minimal_opens(cover._masks, len(space.points)), cover._masks)
 
 
 @dataclass(frozen=True)
@@ -205,14 +209,24 @@ class Stratification:
     ``space`` keeps its original (first) topology; ``second_topology`` is
     the one generated by the cover and is the topology all stratum-level
     notions use. For the identity stratification there is no cover and the
-    two topologies coincide.
+    two topologies coincide. Continuity is decided at construction; its
+    certificate is listed on first use.
     """
 
     space: FiniteSpace
     cover: Cover | None
     quotient: QuotientPoset
     second_topology: FiniteSpace
-    certificate: ContinuityCertificate
+
+    @cached_property
+    def certificate(self) -> ContinuityCertificate:
+        """Each up-set of the quotient, in canonical order, with its preimage as witnessing open."""
+        classes, poset = self.quotient.classes, self.quotient.poset
+        entries = []
+        for up in sorted(alexandroff_from_poset(poset)._open_masks, key=_mask_key):
+            pre = frozenset().union(*(classes[k].members for k in _bits(up)))
+            entries.append(CertificateEntry(tuple(_names(poset.elements, up)), pre, pre))
+        return ContinuityCertificate(tuple(entries))
 
     @property
     def s(self) -> Mapping[str, str]:
@@ -222,10 +236,8 @@ class Stratification:
         return self.quotient.class_of(point)
 
 
-def _verify_continuity(
-    quotient: QuotientPoset, second: FiniteSpace
-) -> ContinuityCertificate:
-    """Certify the class map continuous by the test every point map uses."""
+def _verify_continuity(quotient: QuotientPoset, second: FiniteSpace) -> None:
+    """Decide the class map continuous by the test every point map uses."""
     if len(quotient.classes) > MAX_CLASSES:
         raise InputError(
             f"{len(quotient.classes)} classes exceed the up-set enumeration "
@@ -239,11 +251,6 @@ def _verify_continuity(
             f"preimage of up-set {up} is not open in the generated topology",
             witness=tuple(up),
         )
-    entries = []
-    for up in s.codomain.opens_sorted():
-        pre = s.preimage(up)
-        entries.append(CertificateEntry(tuple(sorted(up)), pre, pre))
-    return ContinuityCertificate(tuple(entries))
 
 
 def standard_stratification(space: FiniteSpace, cover: Cover) -> Stratification:
@@ -251,17 +258,16 @@ def standard_stratification(space: FiniteSpace, cover: Cover) -> Stratification:
 
     Surjectivity is immediate (classes are nonempty fibers). Continuity
     for the cover's topology holds when each point's minimal open maps
-    into the up-set of its class; the certificate lists every up-set of
-    the quotient with its preimage, which is its witnessing open.
+    into the up-set of its class.
     """
     if cover.space != space:
         raise InputError("cover belongs to a different space")
-    second = generate_topology(space.points, cover.members)
-    quotient = _t0_quotient(space.points, second._minimal, cover.members)
-    cert = _verify_continuity(quotient, second)
+    second = FiniteSpace._of_minimal(space.points, _minimal_opens(cover._masks, len(space.points)))
+    quotient = _t0_quotient(space.points, second._minimal, cover._masks)
+    _verify_continuity(quotient, second)
     if set(quotient.point_class.values()) != {c.representative for c in quotient.classes}:
         raise InternalInvariantError("quotient map is not surjective")
-    return Stratification(space, cover, quotient, second, cert)
+    return Stratification(space, cover, quotient, second)
 
 
 def stratum_preimage_formula(strat: Stratification, class_id: str) -> frozenset[str]:
@@ -273,14 +279,10 @@ def stratum_preimage_formula(strat: Stratification, class_id: str) -> frozenset[
     """
     if strat.cover is None:
         raise InputError("identity stratifications carry no cover signatures")
-    cls = strat.quotient.class_by_id(class_id)
-    members = strat.cover.members
-    inter = frozenset(strat.space.points)
-    for t in cls.signature:
-        inter &= members[t]
-    outside = [m for i, m in enumerate(members) if i not in cls.signature]
-    minus = frozenset().union(*outside) if outside else frozenset()
-    result = inter - minus
+    cls, masks = strat.quotient.class_by_id(class_id), strat.cover._masks
+    inside = reduce(and_, [masks[t] for t in cls.signature], (1 << len(strat.space.points)) - 1)
+    outside = reduce(or_, [m for t, m in enumerate(masks) if t not in cls.signature], 0)
+    result = frozenset(_names(strat.space.points, inside & ~outside))
     if result != cls.members:
         raise InternalInvariantError(
             f"fiber formula for class {class_id} gave {sorted(result)}, "
@@ -327,5 +329,5 @@ def identity_stratification(space: FiniteSpace) -> Stratification:
             f"topologically indistinguishable",
             witness=(x, y),
         )
-    cert = _verify_continuity(quotient, space)
-    return Stratification(space, None, quotient, space, cert)
+    _verify_continuity(quotient, space)
+    return Stratification(space, None, quotient, space)

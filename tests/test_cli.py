@@ -734,3 +734,28 @@ def test_member_that_is_not_a_list_of_names_exits_2(tmp_path, command, field, do
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1
     assert f"members of {field!r} must be lists of point names" in proc.stderr
+
+
+MALFORMED_TOPOLOGY = (
+    ("check-map", {"f": [[["a"], "b"]]}, "entries of f must pair two point names"),
+    ("check-map", {"f": [["a", "a"], ["b", "b"]], "representatives": 5},
+     "representatives must be a list of point names"),
+    ("limit", {"spec_zmod": 6, "points": 5}, "field 'points' has the wrong type"),
+    ("limit", {"spec_zmod": 6, "points": [1, "p2"]}, "points must be strings"),
+)
+
+
+@pytest.mark.parametrize("command, doc, message", MALFORMED_TOPOLOGY)
+def test_malformed_topology_document_exits_2(tmp_path, command, doc, message):
+    if command == "check-map":
+        space = write(tmp_path / "s.json", {"points": ["a", "b"], "opens": [[], ["a"], ["a", "b"]]})
+        cover = write(tmp_path / "c.json", {"cover": [["a", "b"]]})
+        argv = ["--map", write(tmp_path / "m.json", doc),
+                "--space", space, "--space", space, "--cover", cover, "--cover", cover]
+    else:
+        argv = ["--space", write(tmp_path / "s.json", doc)]
+    proc = run_python(["-m", "stratcalc.cli", command, *argv], tmp_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert message in proc.stderr

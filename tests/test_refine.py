@@ -5,9 +5,12 @@ import json
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratcalc import (
     Cover,
+    FiniteSpace,
     InputError,
     RefinementPair,
     alexandroff_from_poset,
@@ -177,6 +180,26 @@ class TestRefinedPoset:
         cm = coarsening_from_refined(space, cover)
         assert cm.surjective and cm.monotone
         assert cm.target.classes == quotient_poset(space, cover).classes
+
+
+@st.composite
+def small_spaces(draw):
+    """A space on at most 7 points of varying name lengths, generated from
+    a random basis or order, or given by the explicit family of one."""
+    points = ["a", "aa", "ab", "b", "ba", "c", "d"][: draw(st.integers(min_value=1, max_value=7))]
+    point = st.sampled_from(points)
+    if draw(st.booleans()):
+        space = generate_topology(points, draw(st.lists(st.frozensets(point), max_size=4)))
+    else:
+        pairs = draw(st.lists(st.tuples(point, point), max_size=8))
+        space = alexandroff_from_poset(Poset.generate(points, [(a, b) for a, b in pairs if a < b]))
+    return FiniteSpace(space.points, space.opens) if draw(st.booleans()) else space
+
+
+@given(small_spaces())
+@settings(max_examples=100, deadline=None)
+def test_maximal_cover_lists_the_nonempty_opens_in_canonical_order(space):
+    assert list(maximal_cover(space).members) == [u for u in space.opens_sorted() if u]
 
 
 def test_random_suite():

@@ -31,3 +31,15 @@ def test_quotient_posets_are_built_in_one_function():
         and node.func.id == "QuotientPoset"
     }
     assert len(builders) == 1, builders
+
+
+def test_stratify_and_refine_never_name_opens():
+    # open families stay masks below the document layer: only spaces.py,
+    # the result fields and documents.py name them
+    found = [
+        f"{name}:{node.lineno}"
+        for name in ("stratify.py", "refine.py")
+        for node in ast.walk(ast.parse((SRC / name).read_text(encoding="utf-8"), name))
+        if isinstance(node, ast.Attribute) and node.attr in ("opens", "opens_sorted")
+    ]
+    assert not found, found

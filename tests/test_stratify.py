@@ -16,11 +16,15 @@ from stratcalc import (
     Poset,
     StructuralError,
     alexandroff_from_poset,
+    alt_induce_g,
+    check_square,
     discrete_space,
     generate_topology,
     h_map,
+    identity_map,
     identity_stratification,
     indiscrete_space,
+    induce_g,
     maximal_cover,
     preorder_from_stratification,
     preorder_leq,
@@ -89,6 +93,19 @@ class TestHMap:
             Cover(space, (frozenset("ad"), space.full))
         with pytest.raises(InputError):
             Cover(space, (frozenset(), space.full))
+
+    @pytest.mark.parametrize("members, message", [
+        ((), "cover needs at least one member"),
+        (("", "abcd"), "cover member 0 is empty"),
+        (("ab", "ad"), "cover member 1 = ['a', 'd'] is not open in the space"),
+        (("ab", "bz"), "cover member 1 = ['b', 'z'] is not open in the space"),
+        (("ab", "bc"), "cover misses points ['d']"),
+    ])
+    def test_cover_refusal_texts(self, members, message):
+        space = generate_topology("abcd", [{"a", "b"}, {"b", "c"}, {"c", "d"}])
+        with pytest.raises(InputError) as info:
+            Cover(space, tuple(map(frozenset, members)))
+        assert str(info.value) == message
 
     def test_signature_bound_recorded(self):
         assert w_cover().max_signature_size == 2
@@ -329,6 +346,19 @@ class TestCertificate:
         assert [
             (e.up_set, e.preimage, e.witness_open) for e in strat.certificate.entries
         ] == expected
+
+
+def test_opens_and_certificate_are_listed_only_on_demand():
+    # covers, quotients, continuity and squares are decided on masks, so
+    # neither open family is named and the certificate is never listed
+    space = discrete_space([f"q{i:02d}" for i in range(16)])
+    singletons = tuple(frozenset([p]) for p in space.points)
+    strat = standard_stratification(space, Cover(space, singletons))
+    f = identity_map(space)
+    for result in (induce_g(f, strat, strat), alt_induce_g(f, strat)):
+        check_square(result.square)
+    assert "opens" not in vars(space) and "opens" not in vars(strat.second_topology)
+    assert "certificate" not in vars(strat)
 
 
 def test_strata_round_documents_are_unchanged():
