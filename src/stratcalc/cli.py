@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 
-from . import __version__, documents
+from . import __version__, documents, refine
 from .errors import (
     InputError,
     InternalInvariantError,
@@ -23,7 +23,6 @@ from .errors import (
     UnsupportedPrecisionError,
     ValidationError,
 )
-from .refine import _coarsening, refined_poset
 from .spaces import PointMap
 from .squares import alt_induce_g, check_square, induce_g
 from .stratify import Cover, quotient_poset, standard_stratification
@@ -68,14 +67,15 @@ def cmd_stratify(args) -> int:
 
 def cmd_limit(args) -> int:
     space = documents.load_space(documents.read_json(args.space[0]))
-    quotient = refined_poset(space)
+    quotient = refine.refined_poset(space)
     witnesses = None
     if args.witness:
         witnesses = []
         full = space.full
-        for members in [(full,)] + [(u, full) for u in space.opens_sorted() if u and u != full]:
+        tops = [(u, full) for u in refine.maximal_cover(space).members if u != full]
+        for members in [(full,)] + tops:
             cover = Cover(space, members)
-            witnesses.append((cover, _coarsening(quotient, quotient_poset(space, cover))))
+            witnesses.append((cover, refine._coarsening(quotient, quotient_poset(space, cover))))
     _emit(args, documents.dump_refined(quotient, witnesses))
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:

@@ -196,18 +196,23 @@ def dump_refined(quotient: QuotientPoset, witnesses: list[tuple[Cover, ClassMap]
     return doc
 
 
-def load_map_document(doc: dict, where: str = "map document") -> dict:
-    pairs = _require(doc, "f", list, where)
+def _point_table(doc: dict, field: str, where: str) -> dict[str, str]:
+    """The map listed in ``field`` as [from, to] point-name pairs, one image per point."""
     table = {}
-    for item in pairs:
+    for item in _require(doc, field, list, where):
         if not (isinstance(item, list) and len(item) == 2):
-            raise InputError(f"{where}: entries of f must be [from, to] pairs")
+            raise InputError(f"{where}: entries of {field} must be [from, to] pairs")
         src, dst = item
         if not (isinstance(src, str) and isinstance(dst, str)):
-            raise InputError(f"{where}: entries of f must pair two point names")
+            raise InputError(f"{where}: entries of {field} must pair two point names")
         if src in table and table[src] != dst:
             raise InputError(f"{where}: conflicting images for point {src!r}")
         table[src] = dst
+    return table
+
+
+def load_map_document(doc: dict, where: str = "map document") -> dict:
+    table = _point_table(doc, "f", where)
     mode = doc.get("mode", "restricted")
     if mode not in ("restricted", "identity-stratification"):
         raise InputError(f"{where}: unknown mode {mode!r}")
@@ -272,10 +277,8 @@ def load_spec(doc: dict, where: str = "query spec") -> ConicalMapSpec:
     )
     if kind == "obvious":
         arity = _require(doc, "arity", int, where)
-        if "base_map" in doc:
-            table = {src: dst for src, dst in doc["base_map"]}
-        else:
-            table = {p: p for p in space_x.points}
+        table = (_point_table(doc, "base_map", where) if "base_map" in doc
+                 else {p: p for p in space_x.points})
         return obvious_spec(arity, PointMap(space_x, space_y, table))
     if kind != "parametric":
         raise InputError(f"{where}: unknown kind {kind!r}")

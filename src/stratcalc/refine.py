@@ -10,9 +10,9 @@ right inverse of the surjection by construction but need not be monotone
 or injective, so those two facts are reported rather than required.
 
 Over a finite space the covers ordered by refinement have a top element:
-the cover by all nonempty opens. Its quotient therefore realizes the
-limit over all covers, and every cover's quotient receives a coarsening
-surjection from it.
+the cover by all nonempty opens. Its quotient, read off the open masks,
+realizes the limit over all covers, and every cover's quotient receives
+a coarsening surjection from it; only ``maximal_cover`` names the opens.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import InputError, InternalInvariantError
-from .spaces import FiniteSpace, _names
+from .spaces import FiniteSpace, _mask_key, _names
 from .stratify import Cover, QuotientPoset, _t0_quotient, quotient_poset
 
 
@@ -129,12 +129,16 @@ def representative_section(pair: RefinementPair) -> SectionReport:
     return SectionReport(section, injective, monotone)
 
 
-def maximal_cover(space: FiniteSpace) -> Cover:
-    """The top of the refinement order: all nonempty opens, in canonical order."""
+def _nonempty_opens(space: FiniteSpace) -> list[int]:
+    """The nonzero open masks of a nonempty space, in canonical order."""
     if not space.points:
         raise InputError("nonempty space required")
-    named = sorted(_names(space.points, m) for m in space._open_masks if m)
-    return Cover(space, tuple(map(frozenset, named)))
+    return sorted((m for m in space._open_masks if m), key=_mask_key)
+
+
+def maximal_cover(space: FiniteSpace) -> Cover:
+    """The named top of the refinement order: all nonempty opens, in canonical order."""
+    return Cover(space, tuple(frozenset(_names(space.points, m)) for m in _nonempty_opens(space)))
 
 
 def refined_poset(space: FiniteSpace) -> QuotientPoset:
@@ -144,9 +148,10 @@ def refined_poset(space: FiniteSpace) -> QuotientPoset:
     system with the maximal cover on top, so this poset is the limit of
     the quotients over all covers and does not depend on any cover choice.
     As the maximal cover generates the space's own topology, this is the T0
-    quotient of the space, read off its U_x, with signatures as labels.
+    quotient of the space, read off its U_x, with signatures over the
+    nonempty open masks as labels; no cover is built.
     """
-    return _t0_quotient(space.points, space._minimal, maximal_cover(space)._masks)
+    return _t0_quotient(space.points, space._minimal, _nonempty_opens(space))
 
 
 def coarsening_from_refined(space: FiniteSpace, cover: Cover) -> ClassMap:

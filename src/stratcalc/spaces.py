@@ -22,9 +22,9 @@ the order of their bit-index tuples.
   larger explicit families are refused.
 * A map is continuous exactly when it is monotone for the specialization
   preorders, which takes O(n^2) bit tests on the U_x.
-* A poset is one up-set mask per element and nothing else: the closure
-  is a bitset Warshall pass, validation and the Hasse pairs take O(n^2)
-  mask operations, ``le`` is a bit test, and ``leq`` and
+* A poset is one up-set mask per element: the closure is a bitset
+  Warshall pass, validation and its Hasse masks (kept once made) take
+  O(n^2) mask operations, ``le`` is a bit test, and ``leq`` and
   ``strict_pairs()`` are pair views built on demand.
 
 All values here are immutable after construction and all operations are
@@ -363,29 +363,30 @@ class Poset:
         up-set topology. More than ``MAX_OPENS`` are refused."""
         return alexandroff_from_poset(self).opens_sorted()
 
-    def covers(self) -> list[tuple[str, str]]:
-        """Hasse pairs (a, b): a < b with nothing strictly between, in sorted order.
-
-        The covers of a are its strict up-set minus the strict up-sets of
-        its strict successors.
-        """
-        els = self.elements
+    @cached_property
+    def _hasse(self) -> tuple[int, ...]:
+        """Each element's covers plus its own bit: its strict up-set minus
+        the strict up-sets of its strict successors, plus the diagonal."""
         strict = [m & ~(1 << i) for i, m in enumerate(self._up)]
-        return [
-            (a, els[j])
-            for a, s in zip(els, strict)
-            for j in _bits(s & ~reduce(or_, [strict[k] for k in _bits(s)], 0))
-        ]
+        return tuple(s & ~reduce(or_, [strict[k] for k in _bits(s)], 0) | 1 << i
+                     for i, s in enumerate(strict))
+
+    def covers(self) -> list[tuple[str, str]]:
+        """Hasse pairs (a, b): a < b with nothing strictly between, in sorted order."""
+        els = self.elements
+        return [(a, els[j]) for i, a in enumerate(els) for j in _bits(self._hasse[i] & ~(1 << i))]
 
     def is_monotone(self, mapping: Mapping[str, str], target: "Poset") -> bool:
         return self.monotone_counterexample(mapping, target) is None
 
     def monotone_counterexample(self, mapping: Mapping[str, str], target: "Poset"):
         """First pair (a, b) of ``sorted(leq)`` whose images are not ordered
-        in ``target``, or None."""
-        img = [target._at(mapping[e]) for e in self.elements]
-        bad = _order_breach(self._up, img, target._up + (0,))
-        return None if bad is None else (self.elements[bad[0]], self.elements[bad[1]])
+        in ``target``, or None. As ``target`` is transitive the Hasse masks
+        decide it, their diagonal bits catching images outside ``target``;
+        only a failure scans the whole order, to name the pair."""
+        img, target_up = [target._at(mapping[e]) for e in self.elements], target._up + (0,)
+        bad = _order_breach(self._hasse, img, target_up) and _order_breach(self._up, img, target_up)
+        return bad and (self.elements[bad[0]], self.elements[bad[1]])
 
 
 def _order_breach(up: Sequence[int], img: Sequence[int], target_up: Sequence[int]):

@@ -43,3 +43,14 @@ def test_stratify_and_refine_never_name_opens():
         if isinstance(node, ast.Attribute) and node.attr in ("opens", "opens_sorted")
     ]
     assert not found, found
+
+
+def test_cli_never_names_opens():
+    # the command layer takes named opens from the maximal cover, the one
+    # place the limit path names them, and never lists a space's family
+    found = [
+        f"cli.py:{node.lineno}"
+        for node in ast.walk(ast.parse((SRC / "cli.py").read_text(encoding="utf-8"), "cli.py"))
+        if isinstance(node, ast.Attribute) and node.attr in ("opens", "opens_sorted")
+    ]
+    assert not found, found
